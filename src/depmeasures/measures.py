@@ -14,13 +14,14 @@ the column field; on finite spaces it equals the second singular value of
 the mass matrix normalized by its marginals (zero-mass atoms removed), and
 the second singular vectors rescale into optimal score functions.
 
-Exact event suprema enumerate one representative per complement class
-{S, S^c} x {T, T^c}: |nu| is invariant under complementing either event, so
-each class's best statistic is |nu| over the smallest attainable
-denominator.  Enumeration is vectorized over bitmask batches; it is
-feasible up to the configured caps (14 x 14 by default, about 2^26 class
-pairs).  Beyond the caps an alternating threshold-ascent heuristic returns
-certified lower bounds.
+Exact psi has a closed form, max |p_ij/(r_i c_j) - 1| over single atoms.
+Exact lambda and tau enumerate one representative per complement class
+{S, S^c} of the smaller side only (|nu| is invariant under complements);
+against a fixed S the best T is a threshold set of the other side's atoms,
+so each class costs one sort and a few cumulative sums.  Exact mode runs
+up to the configured caps (14 x 14 by default); beyond them an alternating
+threshold-ascent heuristic on the same split scoring returns certified
+lower bounds.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ DEFAULT_RHO_TOL = 1e-10
 WITNESS_TOL = 1e-12
 CHAIN_TOL = 1e-9
 DOUBLING_TOL = 1e-12
-
-_CHUNK_ELEMS = 2_000_000
 
 # The heuristic is a deterministic function of the matrix: restarts draw
 # from a fixed-seed generator.
@@ -204,207 +203,239 @@ def event_statistic(M: JointPMF, e: EventPair, kind: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration over complement classes
+# Threshold splits: the kernel shared by exact and heuristic scans
 # ---------------------------------------------------------------------------
 
 
+def _splits(w: np.ndarray, marg: np.ndarray, rank: bool = True) -> tuple[np.ndarray | None, ...]:
+    """Covariance and masses of every threshold split against fixed events.
+
+    ``w[0, b, j]``, ``w[1, b, j]`` are P(S_b and j), P(S_b^c and j) over
+    positive-mass atoms j of the other side, of masses ``marg``.  Against
+    S_b the covariance of T is linear in T and each statistic is
+    quasiconvex in (covariance, P(T)), so it peaks at a prefix or suffix of
+    the atoms ranked by the centered key w[0]*P(S_b^c) - w[1]*P(S_b) per
+    unit mass: a positive multiple of w[0]/marg minus a per-class constant,
+    so the plain ratio ranks them and keeps exact ties exact.  With
+    ``rank``, split k puts the first k + 1 ranked atoms in T; without,
+    split j puts in T every atom whose ratio is at least atom j's (all
+    vertices again, in fewer array operations on few atoms).  Quadrant
+    masses are never formed by subtraction, and the covariance is the
+    complement-invariant determinant |p11*p00 - p10*p01|.
+
+    Returns (ranking or None, |covariance|, P(T), P(T^c), P(S_b), P(S_b^c)).
+    """
+    ratio = w[0] / marg
+    order = None
+    if rank:
+        order = np.argsort(-ratio, axis=1, kind="stable")
+        ranked = np.take_along_axis(w, order[None], axis=2)
+        p11, p01 = np.cumsum(ranked[:, :, :-1], axis=2)
+        p10, p00 = np.cumsum(ranked[:, :, :0:-1], axis=2)[:, :, ::-1]
+    else:
+        in_t = ratio[:, None, :] >= ratio[:, :, None]
+        p11, p01 = (in_t @ w[..., None])[..., 0]
+        p10, p00 = (~in_t @ w[..., None])[..., 0]
+    p_s, p_sc = w.sum(axis=2)
+    return order, np.abs(p11 * p00 - p10 * p01), p11 + p01, p10 + p00, p_s, p_sc
+
+
+def _split_stat(kind: str, num, pt, ptc, p_s, p_sc, fixed: bool = False) -> np.ndarray:
+    """Statistic of every split, scoring the better of T and T^c.
+
+    psi and lambda divide by the smaller of P(S), P(S^c) (by P(S) when the
+    event S is ``fixed`` rather than a class) and by min(P(T), P(T^c));
+    tau by the two variances.  Divisions are staged: products of
+    near-degenerate masses can underflow while the statistic is moderate.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == "tau":
+            var_s = (p_s * p_sc)[:, None]
+            var_t = pt * ptc
+            stat = num / np.sqrt(var_s) / np.sqrt(var_t)
+            return np.where((var_s > 0.0) & (var_t > 0.0), stat, 0.0)
+        s_mass = (p_s if fixed else np.minimum(p_s, p_sc))[:, None]
+        t_mass = np.minimum(pt, ptc)
+        if kind == "lambda":
+            stat = num / np.sqrt(s_mass) / np.sqrt(t_mass)
+        else:
+            stat = num / s_mass / t_mass
+        return np.where((s_mass > 0.0) & (t_mass > 0.0), stat, 0.0)
+
+
+def _attaining(kind: str, pa, pb) -> tuple:
+    """Whether members a, b of a class, of masses pa, pb, attain its statistic.
+
+    tau is complement-invariant; psi and lambda are largest on the member
+    of smaller mass (both members on a tie).  Scalars or arrays.
+    """
+    if kind == "tau":
+        return True, True
+    return pa <= pb, pb <= pa
+
+
+# ---------------------------------------------------------------------------
+# Exact suprema: closed-form psi, one-sided enumeration for lambda and tau
+# ---------------------------------------------------------------------------
+
+# Complement classes scored per batch; batches this small also keep the
+# mask matmul off the BLAS thread pool, which costs more than it saves.
+_BATCH_CLASSES = 2048
+# Value-only scans enumerating at most this many atoms (127 classes) and
+# splitting at most the default cap compare atoms pairwise, not by sorting:
+# faster there on a 2-core x86 VM, even at 9 atoms and slower from 10 on.
+_LEAN_SIDE = 8
+# Statistics within this fraction of the maximum tie with it; witnesses are
+# the smallest key among ties, so rounding does not pick among exact ties.
+_TIE_FRACTION = 1.0 - 1e-14
+
+
 @lru_cache(maxsize=32)
-def _class_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _class_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Representatives of nontrivial complement classes of an n-atom field.
 
     Each pair {S, S^c} with S not in {empty, full} contains exactly one
     member avoiding atom 0; those members, the subsets of {1..n-1} ordered
     by bitmask value, are enumerated here.  Returns (bool matrix, float
-    matrix, complement float matrix, popcounts), each over 2^(n-1) - 1
-    subsets.  Complement masks are materialized so complement masses can be
-    computed as direct sums; masses of zero-mass events then come out as
-    exact 0.0 and the 0/0 convention applies without tolerances.
+    masks of the members and of their complements stacked, popcounts).
+    Complement masks make complement masses direct sums: masses of
+    zero-mass events come out as exact 0.0 and the 0/0 convention applies
+    without tolerances.
     """
     if n < 2:
         empty = np.zeros((0, n), dtype=bool)
-        fl = empty.astype(np.float64)
-        return empty, fl, fl, np.zeros(0, dtype=np.int64)
+        return empty, np.zeros((2, 0, n)), np.zeros(0, dtype=np.int64)
     ints = np.arange(1, 1 << (n - 1), dtype=np.uint32)
     bits = (ints[:, None] >> np.arange(n - 1, dtype=np.uint32)[None, :]) & 1
     bools = np.concatenate([np.zeros((ints.size, 1), dtype=bool), bits.astype(bool)], axis=1)
     pc = bits.sum(axis=1).astype(np.int64)
-    floats = bools.astype(np.float64)
-    comp = (~bools).astype(np.float64)
-    for arr in (bools, floats, comp, pc):
+    masks = np.stack((bools, ~bools)).astype(np.float64)
+    for arr in (bools, masks, pc):
         arr.flags.writeable = False
-    return bools, floats, comp, pc
+    return bools, masks, pc
 
 
 def _indices_tuple(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.nonzero(mask)[0])
 
 
-def _side_variants(kind: str, mask: np.ndarray, p: float, pc: float) -> list[np.ndarray]:
-    """Complement-class members attaining the class maximum on one side."""
-    comp = ~mask
-    if kind == "tau":
-        return [mask, comp]
-    if p < pc:
-        return [mask]
-    if p > pc:
-        return [comp]
-    return [mask, comp]
+def _sum_excluding(a: np.ndarray) -> np.ndarray:
+    """Row sums of ``a`` leaving out each column in turn, summed directly."""
+    out = np.zeros_like(a)
+    out[:, 1:] += np.cumsum(a[:, :-1], axis=1)
+    out[:, :-1] += np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]
+    return out
+
+
+def _psi_closed_form(entries: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """psi and the first single-atom pair (row-major) tied with it.
+
+    P(AB)/(P(A)P(B)) is a mediant of the ratios p_ij/(r_i c_j), so psi is
+    max |p_ij/(r_i c_j) - 1|, attained at single atoms; each atom's
+    covariance is in determinant form over quadrant masses summed directly.
+    """
+    p10 = _sum_excluding(entries)
+    p01 = _sum_excluding(entries.T).T
+    p00 = _sum_excluding(p10.T).T
+    num = np.abs(entries * p00 - p10 * p01)
+    pa = entries + p10
+    pb = entries + p01
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        stat = np.where((pa > 0.0) & (pb > 0.0), num / pa / pb, 0.0)
+    top = stat.max()
+    flat = int(np.argmax(stat >= top * _TIE_FRACTION))
+    return float(top), divmod(flat, entries.shape[1])
 
 
 def _exact_scan(
     entries: np.ndarray,
-    witness_kinds: Sequence[str] = (),
+    kinds: Sequence[str] = KINDS,
+    witnesses: bool = False,
 ) -> tuple[dict[str, float], dict[str, EventPair]]:
-    """Exact suprema of all three event statistics, with optional witnesses.
+    """Exact suprema of the requested event statistics, optionally witnessed.
 
-    Witness tie-break: among maximizers, smallest (|row_set|, |col_set|,
-    lexicographic index tuples).
+    lambda and tau enumerate the complement classes of the smaller side
+    (rows on a tie) and, per class, only the threshold splits of the other
+    side (see :func:`_splits`).  Witness tie-break: among pairs tied with
+    the running maximum (see ``_TIE_FRACTION``), smallest (|row_set|,
+    |col_set|, lexicographic index tuples).
     """
     n_rows, n_cols = entries.shape
-    r = entries.sum(axis=1)
-    c = entries.sum(axis=0)
-    row_b, row_f, row_cf, row_pc = _class_masks(n_rows)
-    col_b, col_f, col_cf, col_pc = _class_masks(n_cols)
-    n_rc, n_cc = row_f.shape[0], col_f.shape[0]
+    values = dict.fromkeys(kinds, 0.0)
+    best: dict[str, tuple[tuple, EventPair, float]] = {}
+    if "psi" in kinds:
+        values["psi"], (i, j) = _psi_closed_form(entries)
+        best["psi"] = ((), EventPair.of((i,), (j,)), values["psi"])
 
-    values = {k: 0.0 for k in KINDS}
-    witnesses = {k: EventPair() for k in witness_kinds}
-    if n_rc == 0 or n_cc == 0:
-        return values, witnesses
+    split_kinds = [k for k in kinds if k != "psi"]
+    transposed = n_cols < n_rows
+    p = entries.T if transposed else entries
+    marg = p.sum(axis=0)
+    pos = np.nonzero(marg > 0.0)[0]
+    bools, masks, pc = _class_masks(p.shape[0])
+    n_classes = bools.shape[0] if split_kinds and pos.size >= 2 else 0
+    sub = p[:, pos]
+    rank = witnesses or p.shape[0] > _LEAN_SIDE or pos.size > DEFAULT_EXACT_CAP_COLS
+    for lo in range(0, n_classes, _BATCH_CLASSES):
+        w = masks[:, lo : lo + _BATCH_CLASSES] @ sub
+        order, num, pt, ptc, p_s, p_sc = _splits(w, marg[pos], rank)
+        for k in split_kinds:
+            stat = _split_stat(k, num, pt, ptc, p_s, p_sc)
+            cmax = float(stat.max())
+            top = max(values[k], cmax)
+            floor = top * _TIE_FRACTION
+            if witnesses and cmax > 0.0 and cmax >= floor:
+                found = _batch_witness(
+                    k, stat, floor, lo, bools, pc, p_s, p_sc, pos[order], pt, ptc, transposed
+                )
+                if k not in best or best[k][2] < floor or found[0] < best[k][0]:
+                    best[k] = found
+            values[k] = top
 
-    p_s = row_f @ r
-    p_t = col_f @ c
-    # Complement masses are summed directly (never as 1 - p) so that
-    # events of probability 0 or 1 are recognized exactly and score 0.
-    p_sc = row_cf @ r
-    p_tc = col_cf @ c
-    u = row_f @ entries  # class x column intersection masses
-    uc = row_cf @ entries
-
-    ps_min = np.minimum(p_s, p_sc)
-    pt_min = np.minimum(p_t, p_tc)
-    ps_var = p_s * p_sc
-    pt_var = p_t * p_tc
-
-    chunk = max(1, _CHUNK_ELEMS // max(n_cc, 1))
-    # Per kind: (value, key, EventPair) running best across chunks.
-    best: dict[str, tuple[float, tuple | None, EventPair]] = {
-        k: (0.0, None, EventPair()) for k in witness_kinds
-    }
-
-    ps_min_sqrt = np.sqrt(ps_min)
-    pt_min_sqrt = np.sqrt(pt_min)
-    ps_var_sqrt = np.sqrt(ps_var)
-    pt_var_sqrt = np.sqrt(pt_var)
-
-    col_t = col_f.T
-    col_ct = col_cf.T
-    for lo in range(0, n_rc, chunk):
-        hi = min(lo + chunk, n_rc)
-        # Covariance in determinant form over the four quadrant masses:
-        # |p11*p00 - p10*p01| keeps full relative accuracy even when the
-        # covariance is far below the resolution of P(S and T) - P(S)P(T).
-        p11 = u[lo:hi] @ col_t
-        p10 = u[lo:hi] @ col_ct
-        p01 = uc[lo:hi] @ col_t
-        p00 = uc[lo:hi] @ col_ct
-        num = np.abs(p11 * p00 - p10 * p01)
-        # Staged divisions: denominator products of near-degenerate masses
-        # can underflow to 0 while the statistic itself is moderate.
-        nontrivial = (ps_min[lo:hi] > 0.0)[:, None] & (pt_min[None, :] > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            stats = {
-                "psi": np.where(
-                    nontrivial, num / ps_min[lo:hi, None] / pt_min[None, :], 0.0
-                ),
-                "lambda": np.where(
-                    nontrivial, num / ps_min_sqrt[lo:hi, None] / pt_min_sqrt[None, :], 0.0
-                ),
-                "tau": np.where(
-                    nontrivial, num / ps_var_sqrt[lo:hi, None] / pt_var_sqrt[None, :], 0.0
-                ),
-            }
-        for k in KINDS:
-            cmax = float(stats[k].max())
-            if cmax > values[k]:
-                values[k] = cmax
-            if k not in best or cmax <= 0.0:
-                continue
-            cur_val, cur_key, _ = best[k]
-            if cmax < cur_val:
-                continue
-            key, pair = _chunk_best_witness(
-                k, stats[k], cmax, lo, row_b, col_b, row_pc, col_pc, p_s, p_sc, p_t, p_tc
-            )
-            if cmax > cur_val or cur_key is None or key < cur_key:
-                best[k] = (cmax, key, pair)
-
-    for k in witness_kinds:
-        val, key, pair = best[k]
-        if values[k] <= 0.0 and n_rows >= 2 and n_cols >= 2:
-            # Everything ties at 0; canonical smallest nontrivial pair.
-            witnesses[k] = EventPair.of((0,), (0,))
-        elif key is not None:
-            witnesses[k] = pair
-    return values, witnesses
+    if not witnesses:
+        return values, {}
+    # Where everything ties at 0: the canonical smallest nontrivial pair.
+    zero = EventPair.of((0,), (0,)) if n_rows >= 2 and n_cols >= 2 else EventPair()
+    return values, {k: best[k][1] if values[k] > 0.0 else zero for k in kinds}
 
 
-def _chunk_best_witness(
-    kind: str,
-    stat: np.ndarray,
-    cmax: float,
-    row_offset: int,
-    row_b: np.ndarray,
-    col_b: np.ndarray,
-    row_pc: np.ndarray,
-    col_pc: np.ndarray,
-    p_s: np.ndarray,
-    p_sc: np.ndarray,
-    p_t: np.ndarray,
-    p_tc: np.ndarray,
-) -> tuple[tuple, EventPair]:
-    """Minimal-key maximizer within one chunk of the statistic array."""
-    ties = np.argwhere(stat == cmax)
-    gi = ties[:, 0] + row_offset
-    tj = ties[:, 1]
-    n_rows = row_b.shape[1]
-    n_cols = col_b.shape[1]
+def _batch_witness(
+    kind: str, stat: np.ndarray, floor: float, offset: int, bools: np.ndarray,
+    pc: np.ndarray, p_s: np.ndarray, p_sc: np.ndarray, ranked: np.ndarray, pt: np.ndarray,
+    ptc: np.ndarray, transposed: bool,
+) -> tuple[tuple, EventPair, float]:
+    """(key, pair, cell statistic) of the minimal-key cell with ``stat >= floor``."""
 
-    # Vector prefilter on the two size components of the key.
-    if kind == "tau":
-        size_s = np.minimum(row_pc[gi], n_rows - row_pc[gi])
-        size_t = np.minimum(col_pc[tj], n_cols - col_pc[tj])
-    else:
-        ps, psc = p_s[gi], p_sc[gi]
-        pt, ptc = p_t[tj], p_tc[tj]
-        size_s = np.where(
-            ps < psc,
-            row_pc[gi],
-            np.where(ps > psc, n_rows - row_pc[gi], np.minimum(row_pc[gi], n_rows - row_pc[gi])),
+    def min_size(na, nb, pa, pb):
+        take_a, take_b = _attaining(kind, pa, pb)
+        return np.where(take_a & take_b, np.minimum(na, nb), np.where(take_a, na, nb))
+
+    b, k = np.nonzero(stat >= floor)
+    g = b + offset
+    size_s = min_size(pc[g], bools.shape[1] - pc[g], p_s[b], p_sc[b])
+    size_t = min_size(k + 1, ranked.shape[1] - 1 - k, pt[b, k], ptc[b, k])
+    size_rows, size_cols = (size_t, size_s) if transposed else (size_s, size_t)
+    keep = size_rows == size_rows.min()
+    keep &= size_cols == size_cols[keep].min()
+
+    best: tuple[tuple, EventPair, float] | None = None
+    for bi, ki in zip(b[keep].tolist(), k[keep].tolist()):
+        mask = bools[bi + offset]
+        s_sides = (_indices_tuple(mask), _indices_tuple(~mask))
+        t_sides = (
+            tuple(sorted(ranked[bi, : ki + 1].tolist())),
+            tuple(sorted(ranked[bi, ki + 1 :].tolist())),
         )
-        size_t = np.where(
-            pt < ptc,
-            col_pc[tj],
-            np.where(pt > ptc, n_cols - col_pc[tj], np.minimum(col_pc[tj], n_cols - col_pc[tj])),
-        )
-    keep = size_s == size_s.min()
-    gi, tj, size_t = gi[keep], tj[keep], size_t[keep]
-    keep = size_t == size_t.min()
-    gi, tj = gi[keep], tj[keep]
-
-    best_key: tuple | None = None
-    best_pair = EventPair()
-    for g, t in zip(gi.tolist(), tj.tolist()):
-        for rows_mask in _side_variants(kind, row_b[g], float(p_s[g]), float(p_sc[g])):
-            rows = _indices_tuple(rows_mask)
-            for cols_mask in _side_variants(kind, col_b[t], float(p_t[t]), float(p_tc[t])):
-                cols = _indices_tuple(cols_mask)
+        s_take = _attaining(kind, p_s[bi], p_sc[bi])
+        t_take = _attaining(kind, pt[bi, ki], ptc[bi, ki])
+        for s in (m for m, take in zip(s_sides, s_take) if take):
+            for t in (m for m, take in zip(t_sides, t_take) if take):
+                rows, cols = (t, s) if transposed else (s, t)
                 key = (len(rows), len(cols), rows, cols)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pair = EventPair.of(rows, cols)
-    assert best_key is not None
-    return best_key, best_pair
+                if best is None or key < best[0]:
+                    best = (key, EventPair.of(rows, cols), float(stat[bi, ki]))
+    assert best is not None
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -412,65 +443,27 @@ def _chunk_best_witness(
 # ---------------------------------------------------------------------------
 
 
-def _candidate_stat(
-    kind: str, num: np.ndarray, pa: float, pac: float, pt: np.ndarray, ptc: np.ndarray
-) -> np.ndarray:
-    """Statistic of candidate column sets T against a fixed row event.
+def _best_threshold_side(kind: str, w: np.ndarray, marg: np.ndarray) -> tuple[float, np.ndarray]:
+    """Best threshold set on one side against a fixed event on the other.
 
-    ``pac`` and ``ptc`` are complement masses summed directly from entries,
-    so degenerate (probability 0/1) candidates score an exact 0.
+    ``w[0, j]`` and ``w[1, j]`` are P(fixed event and atom j) and P(its
+    complement and atom j).  Scores every split of :func:`_splits` against
+    the fixed event itself, not its class, and returns the better of T and
+    T^c (T on a tie).
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind == "psi":
-            valid = (pa > 0.0) & (pt > 0.0)
-            return np.where(valid, num / pa / pt, 0.0)
-        if kind == "lambda":
-            valid = (pa > 0.0) & (pt > 0.0)
-            return np.where(valid, num / math.sqrt(pa) / np.sqrt(pt), 0.0)
-        var_a = pa * pac
-        var_t = pt * ptc
-        valid = (var_a > 0.0) & (var_t > 0.0)
-        return np.where(valid, num / math.sqrt(var_a) / np.sqrt(var_t), 0.0)
-
-
-def _best_threshold_side(
-    kind: str, inter: np.ndarray, p_fixed: float, pc_fixed: float, marg: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Best prefix/suffix set of the score ordering on one side.
-
-    ``inter[j]`` is P(fixed event AND atom j); atoms are ranked by the
-    centered intersection mass per unit of marginal, and every prefix and
-    every suffix of the ranking is scored.
-    """
-    idx = np.nonzero(marg > 0.0)[0]
-    n = idx.size
-    if n == 0:
-        return 0.0, np.zeros(marg.size, dtype=bool)
-    ratio = (inter[idx] - p_fixed * marg[idx]) / marg[idx]
-    order = idx[np.argsort(-ratio, kind="stable")]
-    marg_o = marg[order]
-    inter_o = inter[order]
-    pm = np.cumsum(marg_o)
-    pim = np.cumsum(inter_o)
-    sm = np.cumsum(marg_o[::-1])
-    sim = np.cumsum(inter_o[::-1])
-    if n > 1:
-        # prefixes k=1..n, then suffixes of length 1..n-1
-        pt = np.concatenate([pm, sm[: n - 1]])
-        ptc = np.concatenate([sm[n - 2 :: -1], [0.0], pm[n - 2 :: -1]])
-        pit = np.concatenate([pim, sim[: n - 1]])
-    else:
-        pt, ptc, pit = pm, np.array([0.0]), pim
-    num = np.abs(pit - p_fixed * pt)
-    stats = _candidate_stat(kind, num, p_fixed, pc_fixed, pt, ptc)
-    k = int(np.argmax(stats))
+    pos = np.nonzero(marg > 0.0)[0]
     mask = np.zeros(marg.size, dtype=bool)
-    if k < n:
-        mask[order[: k + 1]] = True
+    if pos.size < 2:
+        return 0.0, mask
+    order, num, pt, ptc, p_s, p_sc = _splits(w[:, None, pos], marg[pos])
+    stat = _split_stat(kind, num, pt, ptc, p_s, p_sc, fixed=True)[0]
+    k = int(np.argmax(stat))
+    ranked = pos[order[0]]
+    if kind != "tau" and pt[0, k] > ptc[0, k]:
+        mask[ranked[k + 1 :]] = True
     else:
-        tail = k - n + 1
-        mask[order[-tail:]] = True
-    return float(stats[k]), mask
+        mask[ranked[: k + 1]] = True
+    return float(stat[k]), mask
 
 
 def _heuristic_scan(entries: np.ndarray, kind: str) -> tuple[float, EventPair]:
@@ -499,18 +492,14 @@ def _heuristic_scan(entries: np.ndarray, kind: str) -> tuple[float, EventPair]:
     for s_mask in seeds:
         local = 0.0
         for _ in range(_HEURISTIC_MAX_ROUNDS):
-            pa = float(r[s_mask].sum())
-            pac = float(r[~s_mask].sum())
             val_t, t_mask = _best_threshold_side(
-                kind, entries[s_mask].sum(axis=0), pa, pac, c
+                kind, np.stack((s_mask, ~s_mask)).astype(np.float64) @ entries, c
             )
             if val_t > best_val:
                 best_val = val_t
                 best_pair = EventPair.of(np.nonzero(s_mask)[0], np.nonzero(t_mask)[0])
-            pb = float(c[t_mask].sum())
-            pbc = float(c[~t_mask].sum())
             val_s, s_new = _best_threshold_side(
-                kind, entries[:, t_mask].sum(axis=1), pb, pbc, r
+                kind, np.stack((t_mask, ~t_mask)).astype(np.float64) @ entries.T, r
             )
             if val_s > best_val:
                 best_val = val_s
@@ -537,9 +526,10 @@ def event_measure(
 ) -> EventMeasure:
     """Supremum of one event statistic, exact or heuristic.
 
-    Exact mode enumerates all complement classes (requires the shape within
-    the caps); heuristic mode returns a lower bound from threshold ascent
-    and is flagged as such.  ``auto`` picks exact whenever it is feasible.
+    Exact mode (requires the shape within the caps) is the closed form for
+    psi and one-sided class enumeration for lambda and tau; heuristic mode
+    returns a lower bound from threshold ascent and is flagged as such.
+    ``auto`` picks exact whenever it is feasible.
     """
     _check_kind(kind)
     if mode not in MODES:
@@ -551,7 +541,7 @@ def event_measure(
         )
     use_exact = mode == "exact" or (mode == "auto" and within)
     if use_exact:
-        values, wit = _exact_scan(M.entries, witness_kinds=(kind,))
+        values, wit = _exact_scan(M.entries, (kind,), witnesses=True)
         value = _witness_value(M, wit[kind], kind, values[kind])
         return EventMeasure(value=value, witness=wit[kind], mode="exact")
     value, pair = _heuristic_scan(M.entries, kind)
@@ -646,8 +636,14 @@ def rho(M: JointPMF, tol: float = DEFAULT_RHO_TOL) -> RhoResult:
 
 def score_correlation(M: JointPMF, f: np.ndarray, g: np.ndarray) -> float:
     """Correlation of score functions f(row), g(col) under the joint law."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    # Correlation is scale-invariant: max-abs scaling keeps squared scores
+    # finite, and the staged division keeps vf * vg from underflowing.
+    f_scale = np.abs(np.asarray(f, dtype=np.float64)).max(initial=0.0)
+    g_scale = np.abs(np.asarray(g, dtype=np.float64)).max(initial=0.0)
+    if f_scale <= 0.0 or g_scale <= 0.0:
+        return 0.0
+    f = np.asarray(f, dtype=np.float64) / f_scale
+    g = np.asarray(g, dtype=np.float64) / g_scale
     r = M.entries.sum(axis=1)
     c = M.entries.sum(axis=0)
     ef = float(r @ f)
@@ -657,7 +653,7 @@ def score_correlation(M: JointPMF, f: np.ndarray, g: np.ndarray) -> float:
     if vf <= 0.0 or vg <= 0.0:
         return 0.0
     cov = float((f - ef) @ M.entries @ (g - eg))
-    return cov / math.sqrt(vf * vg)
+    return cov / math.sqrt(vf) / math.sqrt(vg)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +686,7 @@ def full_report(
     use_exact = mode == "exact" or (mode == "auto" and within)
 
     if use_exact:
-        values, wit = _exact_scan(M.entries, witness_kinds=KINDS)
+        values, wit = _exact_scan(M.entries, KINDS, witnesses=True)
         for k in KINDS:
             values[k] = _witness_value(M, wit[k], k, values[k])
         flags = {k: "exact" for k in KINDS}

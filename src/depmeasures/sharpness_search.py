@@ -122,7 +122,7 @@ class SearchResult:
 
 
 def _exact_tau(entries: np.ndarray) -> float:
-    values, _ = _exact_scan(entries)
+    values, _ = _exact_scan(entries, ("tau",))
     return values["tau"]
 
 
@@ -302,17 +302,21 @@ def _threshold_family_bound(M: JointPMF, n: int, grid_cap: int = _GAP_GRID_CAP) 
     # winner is re-evaluated from pairwise block sums, keeping the returned
     # value a sound lower bound.
     survival = np.cumsum(np.cumsum(cur[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-    pa = survival[:, 0]
-    pb = survival[0, :]
+    pa = survival[:, 0].copy()
+    pb = survival[0, :].copy()
     usable = np.outer(
         (pa > 1e-6) & (pa < 1.0 - 1e-6), (pb > 1e-6) & (pb < 1.0 - 1e-6)
     )
     if not usable.any():
         return 0.0
-    num = np.abs(survival - np.outer(pa, pb))
-    den_sq = np.outer(pa * (1.0 - pa), pb * (1.0 - pb))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(usable & (den_sq > 0.0), num / np.sqrt(np.maximum(den_sq, 0.0)), 0.0)
+    # The grid can hold millions of cells: correlations are formed in
+    # place in ``survival`` and one buffer, not in a temporary per step.
+    buf = np.multiply.outer(pa, pb)
+    corr = np.abs(np.subtract(survival, buf, out=survival), out=survival)
+    np.multiply.outer(pa * (1.0 - pa), pb * (1.0 - pb), out=buf)  # variance product
+    usable &= buf > 0.0
+    np.divide(corr, np.sqrt(buf, out=buf, where=usable), out=corr, where=usable)
+    corr[~usable] = 0.0
     i_star, j_star = np.unravel_index(int(np.argmax(corr)), corr.shape)
     q11 = float(cur[i_star:, j_star:].sum())
     qa = float(cur[i_star:, :].sum())

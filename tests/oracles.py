@@ -70,7 +70,8 @@ def correlation_of_scores(entries: np.ndarray, f, g) -> float:
         for j in range(n_cols)
         for i in range(n_rows)
     )
-    return cov / math.sqrt(vf * vg)
+    # staged: vf * vg underflows when both variances sit near 1e-300
+    return cov / math.sqrt(vf) / math.sqrt(vg)
 
 
 def rational_measure_squared(cells, n_rows: int, n_cols: int, kind: str):

@@ -11,6 +11,7 @@ from depmeasures import (
     event_covariance,
     event_measure,
     event_statistic,
+    exact_event_values,
     from_matrix,
     full_report,
     permute,
@@ -188,6 +189,16 @@ class TestEventMeasure:
                     heur.value, abs=1e-12
                 )
 
+    def test_heuristic_tau_survives_tiny_variance(self):
+        # A row of mass ~1e-33: forming the covariance as P(ST) - P(S)P(T)
+        # leaves rounding noise of ~1e-17 over a row standard deviation of
+        # ~4e-17, which once reported tau near 10 here.
+        m = from_matrix([[0.6, 0.3, 0.1], [2e-34, 1e-33, 2e-34]])
+        heur = event_measure(m, "tau", mode="heuristic")
+        assert heur.value <= 1.0
+        assert heur.value == event_statistic(m, heur.witness, "tau")
+        assert heur.value <= event_measure(m, "tau", mode="exact").value * (1 + 1e-12)
+
     def test_trivial_row_field(self):
         m = random_joint(1, 5, seed=10)
         got = event_measure(m, "tau", mode="exact")
@@ -207,22 +218,32 @@ class TestEventMeasure:
 
     def test_chunked_enumeration_matches_single_pass(self, monkeypatch):
         import depmeasures.measures as measures_mod
+        from depmeasures import kron
 
         rng = np.random.default_rng(22)
         cases = [
-            random_joint(5, 6, seed=int(rng.integers(1e9)), style=style)
+            random_joint(shape[0], shape[1], seed=int(rng.integers(1e9)), style=style)
+            for shape in ((5, 6), (6, 5))
             for style in ("dense", "sparse", "near_independent")
         ]
+        cases.append(kron(yy(0.5), from_matrix([[0.25] * 2] * 2)))
         expected = [
             (kind, event_measure(m, kind, mode="exact"))
             for m in cases
             for kind in ("psi", "lambda", "tau")
         ]
-        monkeypatch.setattr(measures_mod, "_CHUNK_ELEMS", 64)
-        for (kind, want), m in zip(expected, [m for m in cases for _ in range(3)]):
-            got = event_measure(m, kind, mode="exact")
-            assert got.value == want.value
-            assert got.witness == want.witness
+        expected_values = [exact_event_values(m) for m in cases]
+        assert measures_mod._BATCH_CLASSES >= 31  # every case fits one batch
+        for batch in (1, 3):
+            monkeypatch.setattr(measures_mod, "_BATCH_CLASSES", batch)
+            for (kind, want), m in zip(expected, [m for m in cases for _ in range(3)]):
+                got = event_measure(m, kind, mode="exact")
+                assert got.value == want.value
+                assert got.witness == want.witness
+            # raw maxima may move by an ulp: BLAS rounds the class masses
+            # of differently shaped batches differently
+            for m, want_values in zip(cases, expected_values):
+                assert exact_event_values(m) == pytest.approx(want_values, rel=1e-13)
 
 
 class TestRho:
@@ -359,6 +380,25 @@ class TestFullReport:
             assert prep.lam == pytest.approx(rep.lam, abs=1e-12)
             assert prep.tau == pytest.approx(rep.tau, abs=1e-12)
             assert prep.rho == pytest.approx(rep.rho, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [[[1e-300, 0.0], [0.0, 1.0]], [[3.6e-300, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]],
+        ids=["2x2", "2x4"],
+    )
+    def test_underflowing_score_variances(self, arr):
+        # the rho witness scores of a ~1e-300 atom have variances whose
+        # product underflows; the report must still certify rho = 1
+        rep = full_report(from_matrix(arr))
+        assert rep.rho == pytest.approx(1.0, abs=1e-9)
+        assert rep.tau == pytest.approx(1.0, abs=1e-9)
+        assert abs(score_correlation(from_matrix(arr), *rep.rho_witness)) == pytest.approx(1.0)
+
+    def test_score_correlation_huge_scores(self):
+        m = yy(0.5)
+        for scale in (1e155, 1e300, 1e-300):
+            f = np.array([1.0, -1.0]) * scale
+            assert score_correlation(m, f, np.array([2.0, -2.0])) == pytest.approx(0.5)
 
     def test_heuristic_mode_flagged(self):
         m = random_joint(3, 3, seed=20)
