@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from typing import Sequence
 
 from . import __version__
 from .constructions import (
+    ScoredBase,
     clt_limit_corr,
     embellish,
     lemma7_profile,
@@ -32,7 +32,7 @@ from .constructions import (
     yy_pair,
 )
 from .errors import ConvergenceFailure, DependenceError
-from .joint_pmf import JointPMF, kron, load_json
+from .joint_pmf import from_jsonable, kron, load_json
 from .measures import full_report
 from .sharpness_search import SearchConfig, search_max_rho, search_tensor_gap
 from .theorem_suite import (
@@ -167,10 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, normalize: bool) -> JointPMF:
-    return load_json(path, normalize=normalize)
-
-
 def _checks_payload(checks) -> tuple[dict, bool]:
     items = [c.to_jsonable() for c in checks]
     return {"checks": items}, any(not c.passed for c in checks)
@@ -179,31 +175,31 @@ def _checks_payload(checks) -> tuple[dict, bool]:
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[dict, bool]:
     cmd = args.command
     if cmd == "measures":
-        rep = full_report(_load(args.infile, args.normalize), mode=args.mode)
+        rep = full_report(load_json(args.infile, args.normalize), mode=args.mode)
         return rep.to_jsonable(), False
     if cmd == "yy":
         return yy_pair(args.t).to_jsonable(), False
     if cmd == "kron":
-        joined = kron(_load(args.in1, args.normalize), _load(args.in2, args.normalize))
+        joined = kron(load_json(args.in1, args.normalize), load_json(args.in2, args.normalize))
         return joined.to_jsonable(), False
     if cmd == "check":
         name = args.check_name
         if name == "chain":
-            return _checks_payload(check_chain(_load(args.infile, args.normalize)))
+            return _checks_payload(check_chain(load_json(args.infile, args.normalize)))
         if name == "two-atom":
-            return _checks_payload([check_two_atom_bound(_load(args.infile, args.normalize))])
+            return _checks_payload([check_two_atom_bound(load_json(args.infile, args.normalize))])
         if name == "peyre":
-            return _checks_payload([check_peyre_bound(_load(args.infile, args.normalize))])
+            return _checks_payload([check_peyre_bound(load_json(args.infile, args.normalize))])
         if name == "csaki-fischer":
             return _checks_payload(
-                check_csaki_fischer(_load(args.in1, args.normalize), _load(args.in2, args.normalize))
+                check_csaki_fischer(load_json(args.in1, args.normalize), load_json(args.in2, args.normalize))
             )
         if name == "cousin":
             return _checks_payload(
-                check_cousin(_load(args.in1, args.normalize), _load(args.in2, args.normalize))
+                check_cousin(load_json(args.in1, args.normalize), load_json(args.in2, args.normalize))
             )
         if name == "cousin-multi":
-            ms = [_load(f, args.normalize) for f in args.infiles]
+            ms = [load_json(f, args.normalize) for f in args.infiles]
             return _checks_payload([check_cousin_multi(ms)])
         parser.error(f"unknown check {name!r}")
     if cmd == "fuzz":
@@ -216,14 +212,16 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tupl
         )
         return report.to_jsonable(), bool(report.failures)
     if cmd == "embellish":
-        joined, checks = embellish(_load(args.base, args.normalize), args.t)
+        joined, checks = embellish(load_json(args.base, args.normalize), args.t)
         payload = joined.to_jsonable()
         payload["checks"] = [c.to_jsonable() for c in checks]
         return payload, any(not c.passed for c in checks)
     if cmd == "orthant":
         return {"r": args.r, "value": orthant_prob(args.r), "limit_corr": clt_limit_corr(args.r)}, False
     if cmd == "theorem6":
-        sb = _scored_base_from_args(args, parser)
+        if (args.g is None) != (args.h is None):
+            parser.error("--g and --h must be given together")
+        sb = _load_scored_base(args.base, args.g, args.h)
         method = "monte_carlo" if args.method == "mc" else "exact"
         if method == "monte_carlo" and args.seed is None:
             parser.error("--seed is required for --method mc")
@@ -232,8 +230,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tupl
     if cmd == "witness-search":
         if args.method != "exact" and args.seed is None:
             parser.error("--seed is required unless --method exact")
-        with open(args.base, "r", encoding="utf-8") as fh:
-            sb = scored_base_from_jsonable(json.load(fh))
+        sb = _load_scored_base(args.base)
         method = {"mc": "monte_carlo"}.get(args.method, args.method)
         hit = theorem6_witness_search(
             args.t, sb, args.nmax, method=method, samples=args.samples, seed=args.seed
@@ -269,20 +266,13 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tupl
     raise AssertionError("unreachable")
 
 
-def _scored_base_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if (args.g is None) != (args.h is None):
-        parser.error("--g and --h must be given together")
-    with open(args.base, "r", encoding="utf-8") as fh:
+def _load_scored_base(path: str, g=None, h=None) -> ScoredBase:
+    """A scored base from a file, with the file's scores unless g, h are given."""
+    with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if args.g is not None:
-        if "matrix" not in obj and isinstance(obj.get("result"), dict):
-            obj = obj["result"]
-        from .joint_pmf import from_matrix
-
-        base = from_matrix(obj["matrix"], row_labels=obj.get("row_labels"),
-                           col_labels=obj.get("col_labels"))
-        return make_scored_base(base, args.g, args.h)
-    return scored_base_from_jsonable(obj)
+    if g is None:
+        return scored_base_from_jsonable(obj)
+    return make_scored_base(from_jsonable(obj), g, h)
 
 
 def _manifest(args: argparse.Namespace, started: str, finished: str) -> dict:
@@ -296,13 +286,11 @@ def _manifest(args: argparse.Namespace, started: str, finished: str) -> dict:
             params[key] = [list(v) for v in value]
         elif isinstance(value, tuple):
             params[key] = list(value)
-    threads = os.environ.get("DEPMEASURES_THREADS")
     return {
         "command": args.command,
         "parameters": params,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
-        "worker_cap": threads,
         "started": started,
         "finished": finished,
     }
@@ -331,13 +319,6 @@ def _utcnow() -> str:
 def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(list(argv))
-    threads = os.environ.get("DEPMEASURES_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 0:
-                raise ValueError
-        except ValueError:
-            parser.error(f"DEPMEASURES_THREADS must be a nonnegative integer, got {threads!r}")
     started = _utcnow()
     try:
         payload, check_failed = _dispatch(args, parser)

@@ -14,7 +14,8 @@ Contents:
   * exact and Monte Carlo evaluation of Corr(1[Y_n > 0], 1[Z_n > 0]) where
     Y_n, Z_n are normalized sums of n i.i.d. copies of scored atoms, and a
     scanner for the smallest n at which that correlation exceeds a target
-    level;
+    level.  The exact lattice path uses :func:`score_sum_law`, the n-fold
+    joint law of integer score sums, which the tensor-gap search also uses;
   * a grid profile of f(t) = t(1 - log t) - sin(pi t / 2), which is
     positive on (0, 1) with f(1) = f'(1) = 0 and a single inflection of
     f'' in the interior.
@@ -37,7 +38,7 @@ from .errors import (
     TooFewSamples,
     ZeroVariance,
 )
-from .joint_pmf import JointPMF, from_matrix, kron
+from .joint_pmf import JointPMF, from_jsonable, from_matrix, kron, unwrap_manifest
 from .measures import event_measure, rho as _rho
 from .theorem_suite import CheckResult, _result
 
@@ -192,13 +193,11 @@ def _normalize_scores(raw: np.ndarray, weights: np.ndarray, name: str) -> np.nda
 
 def scored_base_from_jsonable(obj: dict) -> ScoredBase:
     """Load {"matrix": ..., "g": [...], "h": [...]} (re-normalizing)."""
-    if "matrix" not in obj and isinstance(obj.get("result"), dict):
-        obj = obj["result"]
+    obj = unwrap_manifest(obj)
     missing = [key for key in ("matrix", "g", "h") if key not in obj]
     if missing:
         raise OutOfRange(f"scored-base JSON lacks keys: {missing}")
-    base = from_matrix(obj["matrix"], row_labels=obj.get("row_labels"), col_labels=obj.get("col_labels"))
-    return make_scored_base(base, obj["g"], obj["h"])
+    return make_scored_base(from_jsonable(obj), obj["g"], obj["h"])
 
 
 @dataclass(frozen=True)
@@ -242,36 +241,43 @@ def _lattice_scale(values: np.ndarray, max_den: int, tol: float = 1e-9) -> int |
     return scale
 
 
+def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
+    """Joint law of the integer score sums of n i.i.d. copies of a base.
+
+    ``a`` and ``b`` are integer scores of the row and column atoms of the
+    mass matrix ``entries``.  Returns (law, lo_a, lo_b) with law[i, j] =
+    P(sum of a = lo_a + i, sum of b = lo_b + j), built by n-fold
+    convolution over the positive-mass cells in row-major order; the law
+    has (n * span(a) + 1) x (n * span(b) + 1) cells.
+    """
+    amin, bmin = int(a.min()), int(b.min())
+    span_a, span_b = int(a.max()) - amin, int(b.max()) - bmin
+    steps = [
+        (int(a[i]) - amin, int(b[j]) - bmin, float(entries[i, j]))
+        for i, j in zip(*np.nonzero(entries > 0.0))
+    ]
+    cur = np.ones((1, 1))
+    for _ in range(n):
+        new = np.zeros((cur.shape[0] + span_a, cur.shape[1] + span_b))
+        for ia, jb, p in steps:
+            new[ia : ia + cur.shape[0], jb : jb + cur.shape[1]] += p * cur
+        cur = new
+    return cur, n * amin, n * bmin
+
+
 def _exact_corr_lattice(sb: ScoredBase, n: int, scale: int) -> float:
-    """Joint distribution of integer score sums by n-fold convolution."""
+    """Indicator correlation from the joint law of integer score sums."""
     a_vals = np.rint(sb.g * scale).astype(np.int64)
     b_vals = np.rint(sb.h * scale).astype(np.int64)
-    amin, amax = int(a_vals.min()), int(a_vals.max())
-    bmin, bmax = int(b_vals.min()), int(b_vals.max())
-    size_a = n * (amax - amin) + 1
-    size_b = n * (bmax - bmin) + 1
+    size_a = n * int(a_vals.max() - a_vals.min()) + 1
+    size_b = n * int(b_vals.max() - b_vals.min()) + 1
     if size_a * size_b > STATE_CAP:
         raise StateSpaceTooLarge(
             f"lattice grid {size_a}x{size_b} exceeds {STATE_CAP} states"
         )
-    steps = [
-        (int(a_vals[i]), int(b_vals[j]), float(sb.base.entries[i, j]))
-        for i in range(sb.base.n_rows)
-        for j in range(sb.base.n_cols)
-        if sb.base.entries[i, j] > 0.0
-    ]
-    cur = np.ones((1, 1))
-    for k in range(n):
-        rows = k * (amax - amin) + 1
-        cols = k * (bmax - bmin) + 1
-        new = np.zeros((rows + (amax - amin), cols + (bmax - bmin)))
-        for da, db, p in steps:
-            ia, jb = da - amin, db - bmin
-            new[ia : ia + rows, jb : jb + cols] += p * cur
-        cur = new
-    # position (ia, jb) holds P(sum_a = ia + n*amin, sum_b = jb + n*bmin)
-    pos_a = np.arange(size_a) + n * amin > 0
-    pos_b = np.arange(size_b) + n * bmin > 0
+    cur, lo_a, lo_b = score_sum_law(sb.base.entries, a_vals, b_vals, n)
+    pos_a = np.arange(size_a) + lo_a > 0
+    pos_b = np.arange(size_b) + lo_b > 0
     qa = float(cur[pos_a, :].sum())
     qb = float(cur[:, pos_b].sum())
     q11 = float(cur[np.ix_(pos_a, pos_b)].sum())
@@ -504,8 +510,8 @@ def _f_prime(t: float) -> float:
     return -math.log(t) - (math.pi / 2.0) * math.cos(math.pi * t / 2.0)
 
 
-def _f_double_prime(t: float) -> float:
-    return -1.0 / t + (math.pi / 2.0) ** 2 * math.sin(math.pi * t / 2.0)
+def _f_double_prime(t: np.ndarray | float) -> np.ndarray | float:
+    return -1.0 / t + (np.pi / 2.0) ** 2 * np.sin(np.pi * t / 2.0)
 
 
 @dataclass(frozen=True)
@@ -536,8 +542,8 @@ def lemma7_profile(grid_points: int = 100_000) -> Lemma7Profile:
     pattern (f'' < 0 left of c, > 0 right of c) is verified at grid
     resolution, and f(1) = 0, f'(1) = 0 are checked directly.
     """
-    if grid_points < 1000:
-        raise OutOfRange(f"grid_points must be >= 1000, got {grid_points}")
+    if not 1000 <= grid_points <= STATE_CAP:
+        raise OutOfRange(f"grid_points must be in [1000, {STATE_CAP}], got {grid_points}")
     ts = np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
     grid_min = float(np.min(_f(ts)))
 
@@ -555,9 +561,8 @@ def lemma7_profile(grid_points: int = 100_000) -> Lemma7Profile:
     spacing = 1.0 / (grid_points + 1)
     below = ts[ts < c - spacing]
     above = ts[ts > c + spacing]
-    fpp = np.vectorize(_f_double_prime)
-    neg_below = bool(np.all(fpp(below) < 0.0)) if below.size else True
-    pos_above = bool(np.all(fpp(above) > 0.0)) if above.size else True
+    neg_below = bool(np.all(_f_double_prime(below) < 0.0)) if below.size else True
+    pos_above = bool(np.all(_f_double_prime(above) > 0.0)) if above.size else True
 
     f_at_0 = 0.0  # 0 * (1 - log 0) read as 0, sin(0) = 0
     f_at_1 = float(_f(1.0))

@@ -329,14 +329,20 @@ def permute(M: JointPMF, row_order: Sequence[int] | None = None, col_order: Sequ
     return from_matrix(arr, row_labels=row_labels, col_labels=col_labels)
 
 
+def unwrap_manifest(obj: dict) -> dict:
+    """The payload of a manifest-wrapped document ({"result": {...}}), else obj."""
+    if "matrix" not in obj and isinstance(obj.get("result"), dict):
+        return obj["result"]
+    return obj
+
+
 def from_jsonable(obj: dict, normalize: bool = False) -> JointPMF:
     """Build from the file schema {"matrix": [[...]], labels...}.
 
     Accepts a manifest-wrapped document ({"result": {...}}) so command
     outputs can be piped back in as inputs.
     """
-    if "matrix" not in obj and isinstance(obj.get("result"), dict):
-        obj = obj["result"]
+    obj = unwrap_manifest(obj)
     if "matrix" not in obj:
         raise NonRectangular('JSON object lacks a "matrix" key')
     return from_matrix(

@@ -19,7 +19,9 @@ Exact lambda and tau enumerate one representative per complement class
 {S, S^c} of the smaller side only (|nu| is invariant under complements);
 against a fixed S the best T is a threshold set of the other side's atoms,
 so each class costs one sort and a few cumulative sums.  Exact mode runs
-up to the configured caps (14 x 14 by default); beyond them an alternating
+up to the 14 x 14 cap: :func:`within_exact_cap` is the one rule for it,
+which ``event_measure`` and ``full_report`` apply through one gate and the
+fuzz harness and the search reuse.  Beyond the cap an alternating
 threshold-ascent heuristic on the same split scoring returns certified
 lower bounds.
 """
@@ -44,8 +46,8 @@ from .joint_pmf import EventPair, JointPMF
 KINDS = ("psi", "lambda", "tau")
 MODES = ("exact", "heuristic", "auto")
 
-DEFAULT_EXACT_CAP_ROWS = 14
-DEFAULT_EXACT_CAP_COLS = 14
+EXACT_CAP_ROWS = 14
+EXACT_CAP_COLS = 14
 DEFAULT_RHO_TOL = 1e-10
 
 # Witness fidelity and chain tolerances enforced on every report.
@@ -67,14 +69,12 @@ class RhoSpectral:
 
     sigma1: float
     sigma2: float
-    iterations: int
     residual: float
 
     def to_jsonable(self) -> dict:
         return {
             "sigma1": self.sigma1,
             "sigma2": self.sigma2,
-            "iterations": self.iterations,
             "residual": self.residual,
         }
 
@@ -375,7 +375,7 @@ def _exact_scan(
     bools, masks, pc = _class_masks(p.shape[0])
     n_classes = bools.shape[0] if split_kinds and pos.size >= 2 else 0
     sub = p[:, pos]
-    rank = witnesses or p.shape[0] > _LEAN_SIDE or pos.size > DEFAULT_EXACT_CAP_COLS
+    rank = witnesses or p.shape[0] > _LEAN_SIDE or pos.size > EXACT_CAP_COLS
     for lo in range(0, n_classes, _BATCH_CLASSES):
         w = masks[:, lo : lo + _BATCH_CLASSES] @ sub
         order, num, pt, ptc, p_s, p_sc = _splits(w, marg[pos], rank)
@@ -517,30 +517,33 @@ def _heuristic_scan(entries: np.ndarray, kind: str) -> tuple[float, EventPair]:
 # ---------------------------------------------------------------------------
 
 
-def event_measure(
-    M: JointPMF,
-    kind: str,
-    mode: str = "auto",
-    cap_rows: int = DEFAULT_EXACT_CAP_ROWS,
-    cap_cols: int = DEFAULT_EXACT_CAP_COLS,
-) -> EventMeasure:
+def within_exact_cap(n_rows: int, n_cols: int) -> bool:
+    """Whether exact event enumeration is allowed at this shape."""
+    return n_rows <= EXACT_CAP_ROWS and n_cols <= EXACT_CAP_COLS
+
+
+def _use_exact(M: JointPMF, mode: str) -> bool:
+    """Resolve ``mode`` for M: exact requires the cap, auto prefers exact."""
+    if mode not in MODES:
+        raise OutOfRange(f"mode must be one of {MODES}, got {mode!r}")
+    within = within_exact_cap(M.n_rows, M.n_cols)
+    if mode == "exact" and not within:
+        raise TooLargeForExact(
+            f"shape {M.n_rows}x{M.n_cols} exceeds exact caps {EXACT_CAP_ROWS}x{EXACT_CAP_COLS}"
+        )
+    return within and mode != "heuristic"
+
+
+def event_measure(M: JointPMF, kind: str, mode: str = "auto") -> EventMeasure:
     """Supremum of one event statistic, exact or heuristic.
 
-    Exact mode (requires the shape within the caps) is the closed form for
+    Exact mode (requires the shape within the cap) is the closed form for
     psi and one-sided class enumeration for lambda and tau; heuristic mode
     returns a lower bound from threshold ascent and is flagged as such.
     ``auto`` picks exact whenever it is feasible.
     """
     _check_kind(kind)
-    if mode not in MODES:
-        raise OutOfRange(f"mode must be one of {MODES}, got {mode!r}")
-    within = M.n_rows <= cap_rows and M.n_cols <= cap_cols
-    if mode == "exact" and not within:
-        raise TooLargeForExact(
-            f"shape {M.n_rows}x{M.n_cols} exceeds exact caps {cap_rows}x{cap_cols}"
-        )
-    use_exact = mode == "exact" or (mode == "auto" and within)
-    if use_exact:
+    if _use_exact(M, mode):
         values, wit = _exact_scan(M.entries, (kind,), witnesses=True)
         value = _witness_value(M, wit[kind], kind, values[kind])
         return EventMeasure(value=value, witness=wit[kind], mode="exact")
@@ -613,7 +616,7 @@ def rho(M: JointPMF, tol: float = DEFAULT_RHO_TOL) -> RhoResult:
             f"top singular value {sigma1!r} of the normalized matrix is not 1"
         )
     if min(sub.shape) < 2:
-        spectral = RhoSpectral(sigma1=sigma1, sigma2=0.0, iterations=0, residual=0.0)
+        spectral = RhoSpectral(sigma1=sigma1, sigma2=0.0, residual=0.0)
         return RhoResult(value=0.0, spectral=spectral, witness=(f, g))
 
     sigma2 = float(s[1])
@@ -630,7 +633,7 @@ def rho(M: JointPMF, tol: float = DEFAULT_RHO_TOL) -> RhoResult:
     f[rpos] = u2 / np.sqrt(rs)
     g[cpos] = v2 / np.sqrt(cs)
     value = min(max(sigma2, 0.0), 1.0)
-    spectral = RhoSpectral(sigma1=sigma1, sigma2=sigma2, iterations=0, residual=residual)
+    spectral = RhoSpectral(sigma1=sigma1, sigma2=sigma2, residual=residual)
     return RhoResult(value=value, spectral=spectral, witness=(f, g))
 
 
@@ -661,13 +664,7 @@ def score_correlation(M: JointPMF, f: np.ndarray, g: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def full_report(
-    M: JointPMF,
-    mode: str = "auto",
-    rho_tol: float = DEFAULT_RHO_TOL,
-    cap_rows: int = DEFAULT_EXACT_CAP_ROWS,
-    cap_cols: int = DEFAULT_EXACT_CAP_COLS,
-) -> DependenceReport:
+def full_report(M: JointPMF, mode: str = "auto") -> DependenceReport:
     """All four measures, witnesses, and mode flags, invariants enforced.
 
     With exact event measures the report is checked against the inequality
@@ -676,16 +673,7 @@ def full_report(
     checked.  Violations raise InvariantViolation (they indicate a bug, not
     bad input).
     """
-    if mode not in MODES:
-        raise OutOfRange(f"mode must be one of {MODES}, got {mode!r}")
-    within = M.n_rows <= cap_rows and M.n_cols <= cap_cols
-    if mode == "exact" and not within:
-        raise TooLargeForExact(
-            f"shape {M.n_rows}x{M.n_cols} exceeds exact caps {cap_rows}x{cap_cols}"
-        )
-    use_exact = mode == "exact" or (mode == "auto" and within)
-
-    if use_exact:
+    if _use_exact(M, mode):
         values, wit = _exact_scan(M.entries, KINDS, witnesses=True)
         for k in KINDS:
             values[k] = _witness_value(M, wit[k], k, values[k])
@@ -696,7 +684,7 @@ def full_report(
             values[k], wit[k] = _heuristic_scan(M.entries, k)
         flags = {k: "heuristic" for k in KINDS}
 
-    rho_res = rho(M, tol=rho_tol)
+    rho_res = rho(M)
     flags["rho"] = "exact"
 
     report = DependenceReport(
@@ -710,11 +698,11 @@ def full_report(
         rho_witness=rho_res.witness,
         mode_flags=flags,
     )
-    _enforce_report_invariants(M, report, rho_tol)
+    _enforce_report_invariants(M, report)
     return report
 
 
-def _enforce_report_invariants(M: JointPMF, rep: DependenceReport, rho_tol: float) -> None:
+def _enforce_report_invariants(M: JointPMF, rep: DependenceReport) -> None:
     for k, wpair, val in (
         ("psi", rep.psi_witness, rep.psi),
         ("lambda", rep.lambda_witness, rep.lam),
@@ -727,7 +715,7 @@ def _enforce_report_invariants(M: JointPMF, rep: DependenceReport, rho_tol: floa
                     f"{k} witness reproduces {reval!r}, reported {val!r}"
                 )
     wcorr = score_correlation(M, *rep.rho_witness)
-    if rep.rho > 0.0 and abs(abs(wcorr) - rep.rho) > 10.0 * rho_tol:
+    if rep.rho > 0.0 and abs(abs(wcorr) - rep.rho) > 10.0 * DEFAULT_RHO_TOL:
         raise InvariantViolation(
             f"rho witness correlation {wcorr!r} vs reported {rep.rho!r}"
         )
@@ -741,8 +729,10 @@ def _enforce_report_invariants(M: JointPMF, rep: DependenceReport, rho_tol: floa
             raise InvariantViolation(f"rho={rep.rho} exceeds min(1, psi={rep.psi})")
         if rep.tau > 2.0 * rep.lam + DOUBLING_TOL:
             raise InvariantViolation(f"tau={rep.tau} exceeds 2*lambda={2 * rep.lam}")
+        # psi <= 1/min positive entry; the slack is relative because psi
+        # reaches 1e300 on matrices with tiny atoms.
         pos = M.entries[M.entries > 0.0]
-        if pos.size and rep.psi > 1.0 / float(pos.min()) + 1e-6:
+        if pos.size and rep.psi > 1.0 / float(pos.min()) * (1.0 + CHAIN_TOL):
             raise InvariantViolation(
                 f"psi={rep.psi} exceeds 1/min positive entry sanity bound"
             )

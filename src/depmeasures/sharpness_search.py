@@ -9,8 +9,10 @@ Two objectives:
     error, never a discovery.
   * max tensor gap -- a certified lower bound on tau(M join M) - tau(M),
     where the lower bound comes from embedded single-copy events, threshold
-    events of summed atom scores, and the alternating heuristic on the join.
-    The gap can never exceed psi(M) - tau(M).
+    events of summed atom scores (their law from the lattice convolution
+    ``constructions.score_sum_law``, shared with theorem6), and the
+    alternating heuristic on the join.  The gap can never exceed
+    psi(M) - tau(M).
 
 Proposals are Dirichlet perturbations centered at the current state;
 infeasible proposals (exact tau above the cap) are rejected outright so
@@ -26,20 +28,19 @@ from typing import Callable
 
 import numpy as np
 
+from .constructions import score_sum_law
 from .errors import InvariantViolation, OutOfRange, SizeOverflow
 from .joint_pmf import JointPMF, from_matrix, kron
 from .measures import (
-    DEFAULT_EXACT_CAP_COLS,
-    DEFAULT_EXACT_CAP_ROWS,
     DependenceReport,
     _exact_scan,
     _heuristic_scan,
     full_report,
     rho as _rho,
+    within_exact_cap,
 )
-from .theorem_suite import tau_log_bound, tau_sqrt_log_bound
+from .theorem_suite import BOUND_TOL, tau_log_bound, tau_sqrt_log_bound
 
-BOUND_TOL = 1e-9
 _TEMPERATURE_0 = 0.05
 _TEMPERATURE_DECAY = 0.995
 _REJECT_STREAK = 25
@@ -70,7 +71,7 @@ class SearchConfig:
         n_rows, n_cols = self.shape
         if n_rows < 1 or n_cols < 1:
             raise OutOfRange(f"shape must be at least 1x1, got {self.shape}")
-        if n_rows > DEFAULT_EXACT_CAP_ROWS or n_cols > DEFAULT_EXACT_CAP_COLS:
+        if not within_exact_cap(n_rows, n_cols):
             raise OutOfRange(
                 f"shape {self.shape} beyond exact-tau caps; search requires exact tau"
             )
@@ -255,13 +256,14 @@ def search_max_rho(cfg: SearchConfig, on_accept: AcceptHook | None = None) -> Se
 # ---------------------------------------------------------------------------
 
 
-def _threshold_family_bound(M: JointPMF, n: int, grid_cap: int = _GAP_GRID_CAP) -> float:
+def _threshold_family_bound(M: JointPMF, n: int) -> float:
     """Best |indicator corr| of summed-score threshold events on the n-fold join.
 
     The score functions are the maximal-correlation witnesses quantized to
     an integer lattice (quantizing only changes which events are scanned,
-    so the result stays a valid lower bound for tau of the join).  Returns
-    0 when the grid would not fit.
+    so the result stays a valid lower bound for tau of the join); the
+    joint law of their sums comes from :func:`score_sum_law`.  The scale
+    halves until the grid fits; returns 0 when it never does.
     """
     res = _rho(M)
     if res.value <= 1e-8:
@@ -274,28 +276,14 @@ def _threshold_family_bound(M: JointPMF, n: int, grid_cap: int = _GAP_GRID_CAP) 
         b = np.rint(h * scale).astype(np.int64)
         size_a = n * int(a.max() - a.min()) + 1
         size_b = n * int(b.max() - b.min()) + 1
-        if size_a * size_b <= grid_cap:
+        if size_a * size_b <= _GAP_GRID_CAP:
             break
         scale //= 2
     else:
         return 0.0
     if a.max() == a.min() or b.max() == b.min():
         return 0.0
-    amin, bmin = int(a.min()), int(b.min())
-    steps = [
-        (int(a[i]) - amin, int(b[j]) - bmin, float(M.entries[i, j]))
-        for i in range(M.n_rows)
-        for j in range(M.n_cols)
-        if M.entries[i, j] > 0.0
-    ]
-    span_a = int(a.max()) - amin
-    span_b = int(b.max()) - bmin
-    cur = np.ones((1, 1))
-    for k in range(n):
-        new = np.zeros((k * span_a + 1 + span_a, k * span_b + 1 + span_b))
-        for ia, jb, p in steps:
-            new[ia : ia + cur.shape[0], jb : jb + cur.shape[1]] += p * cur
-        cur = new
+    cur, _, _ = score_sum_law(M.entries, a, b, n)
     # survival[i, j] = P(sum_a index >= i, sum_b index >= j); the running
     # cumsum only RANKS candidate threshold pairs -- far-tail cells carry
     # sequential-summation dust, so extreme tails are masked out and the

@@ -29,16 +29,12 @@ import numpy as np
 
 from .errors import InvariantViolation, OutOfRange, ShapeError, TooLargeForExact
 from .joint_pmf import EventPair, JointPMF, kron, kron_all, random_joint
-from .measures import (
-    DEFAULT_EXACT_CAP_COLS,
-    DEFAULT_EXACT_CAP_ROWS,
-    DependenceReport,
-    full_report,
-)
+from .measures import CHAIN_TOL, DependenceReport, full_report, rho as _rho, within_exact_cap
 
-CHAIN_TOL = 1e-9
 BOUND_TOL = 1e-9
 SPECTRAL_EQ_TOL = 1e-8
+# Results kept per check name in a fuzz report's near-sharp list.
+_NEAR_SHARP_PER_CHECK = 10
 
 
 @dataclass(frozen=True)
@@ -203,8 +199,6 @@ def check_csaki_fischer(
     Emitted as two one-sided results at the spectral tolerance; the
     observed deviation stays below it for every rho_tol down to 1e-12.
     """
-    from .measures import rho as _rho
-
     joined = kron(M1, M2)
     r1 = _rho(M1, tol=rho_tol).value
     r2 = _rho(M2, tol=rho_tol).value
@@ -229,18 +223,12 @@ def check_cousin(
 
     The companion result asserts tau(join) >= max(tau_1, tau_2), which holds
     because each factor's events embed into the join.  The digest records
-    the non-asserted gap tau(join) - max(tau_1, rho_2).
+    the non-asserted gap tau(join) - max(tau_1, rho_2).  The join's report
+    comes first: it raises TooLargeForExact when the join is beyond the cap.
     """
-    from .measures import rho as _rho
-
-    joined = kron(M1, M2)
-    if joined.n_rows > DEFAULT_EXACT_CAP_ROWS or joined.n_cols > DEFAULT_EXACT_CAP_COLS:
-        raise TooLargeForExact(
-            f"join shape {joined.n_rows}x{joined.n_cols} exceeds exact caps"
-        )
+    repk = full_report(kron(M1, M2), mode="exact")
     rep1 = full_report(M1, mode="exact")
     rep2 = full_report(M2, mode="exact")
-    repk = full_report(joined, mode="exact")
     d = digest or {
         "shape1": [M1.n_rows, M1.n_cols],
         "shape2": [M2.n_rows, M2.n_cols],
@@ -280,13 +268,8 @@ def check_cousin_multi(Ms: Sequence[JointPMF], digest: dict | None = None) -> Ch
     """Iterated join: tau(join of all) <= max(tau_1, max over n>=2 of psi_n)."""
     if not Ms:
         raise ShapeError("need at least one factor")
-    joined = kron_all(list(Ms))
-    if joined.n_rows > DEFAULT_EXACT_CAP_ROWS or joined.n_cols > DEFAULT_EXACT_CAP_COLS:
-        raise TooLargeForExact(
-            f"join shape {joined.n_rows}x{joined.n_cols} exceeds exact caps"
-        )
+    repk = full_report(kron_all(list(Ms)), mode="exact")
     reps = [full_report(M, mode="exact") for M in Ms]
-    repk = full_report(joined, mode="exact")
     rhs = reps[0].tau
     for rep in reps[1:]:
         rhs = max(rhs, rep.psi)
@@ -309,7 +292,6 @@ def fuzz(
     count: int,
     seed: int,
     include_pair_checks: bool = True,
-    near_sharp_k: int = 10,
 ) -> FuzzReport:
     """Run every applicable checker on ``count`` generated instances.
 
@@ -322,7 +304,7 @@ def fuzz(
     if not shapes or not styles:
         raise OutOfRange("need at least one shape and one style")
     for n_rows, n_cols in shapes:
-        if n_rows > DEFAULT_EXACT_CAP_ROWS or n_cols > DEFAULT_EXACT_CAP_COLS:
+        if not within_exact_cap(n_rows, n_cols):
             raise TooLargeForExact(f"shape {n_rows}x{n_cols} beyond exact caps")
     master = np.random.default_rng(int(seed))
     inst_seeds = master.integers(0, 2**63 - 1, size=(max(count, 1), 2))
@@ -352,7 +334,7 @@ def fuzz(
             pair_digest = dict(digest)
             pair_digest["seed2"] = seed_b
             batch.extend(check_csaki_fischer(m_a, m_b, pair_digest))
-            if n_rows * n_rows <= DEFAULT_EXACT_CAP_ROWS and n_cols * n_cols <= DEFAULT_EXACT_CAP_COLS:
+            if within_exact_cap(n_rows * n_rows, n_cols * n_cols):
                 batch.extend(check_cousin(m_a, m_b, pair_digest))
         results.extend(batch)
         matrices.append((idx, m_a, m_b))
@@ -374,7 +356,7 @@ def fuzz(
     for name in names:
         group = [res for res in results if res.check_name == name]
         group.sort(key=lambda res: (res.slack, res.instance_digest["index"]))
-        near.extend(group[:near_sharp_k])
+        near.extend(group[:_NEAR_SHARP_PER_CHECK])
     near.sort(key=lambda res: (res.slack, res.check_name, res.instance_digest["index"]))
 
     return FuzzReport(

@@ -151,6 +151,11 @@ class TestTheorem6Cli:
                  "--n", "4", "--method", "mc"])
         assert exc.value.code == 2
 
+    def test_scores_given_but_matrix_missing_exits_2(self, tmp_path):
+        f = tmp_path / "scores_only.json"
+        f.write_text(json.dumps({"g": [-1.0, 1.0], "h": [-1.0, 1.0]}))
+        assert run(["theorem6", "--base", str(f), "--g=-1,1", "--h=-1,1", "--n", "2"]) == 2
+
     def test_witness_search_scored_base_file(self, tmp_path):
         sb = tmp_path / "sb.json"
         sb.write_text(json.dumps({
@@ -167,6 +172,11 @@ class TestTheorem6Cli:
         out = tmp_path / "l.json"
         assert run(["lemma7", "--grid", "2000", "--out", str(out)]) == 0
         assert read_doc(out)["result"]["grid_min"] > 0
+
+    def test_lemma7_grid_above_state_cap_exits_2(self):
+        from depmeasures.constructions import STATE_CAP
+
+        assert run(["lemma7", "--grid", str(STATE_CAP + 1)]) == 2
 
 
 class TestExitCodes:
@@ -199,16 +209,3 @@ class TestExitCodes:
         assert run(["check", "peyre", "--in", str(f), "--out", str(out)]) == 3
         assert read_doc(out)["result"]["checks"][0]["pass"] is False
 
-
-class TestEnvironment:
-    def test_thread_cap_validated(self, monkeypatch):
-        monkeypatch.setenv("DEPMEASURES_THREADS", "junk")
-        with pytest.raises(SystemExit) as exc:
-            run(["orthant", "--r", "0.0"])
-        assert exc.value.code == 2
-
-    def test_thread_cap_recorded(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("DEPMEASURES_THREADS", "4")
-        out = tmp_path / "o.json"
-        assert run(["orthant", "--r", "0.0", "--out", str(out)]) == 0
-        assert read_doc(out)["manifest"]["worker_cap"] == "4"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from depmeasures import (
     theorem6_witness_search,
     yy_pair,
 )
+
+from depmeasures.constructions import STATE_CAP, score_sum_law
 
 from oracles import sum_indicator_corr_bruteforce
 
@@ -200,6 +203,18 @@ class TestTheorem6Corr:
             )
             assert est.value == pytest.approx(want, abs=1e-12)
 
+    def test_score_sum_law_matches_enumeration(self):
+        entries = np.array([[0.1, 0.2, 0.0], [0.3, 0.0, 0.4]])
+        a, b, n = np.array([-1, 2]), np.array([0, 1, -3]), 3
+        law, lo_a, lo_b = score_sum_law(entries, a, b, n)
+        assert law.shape == (n * 3 + 1, n * 4 + 1)
+        assert (lo_a, lo_b) == (-n, -3 * n)
+        want = np.zeros_like(law)
+        for cells in itertools.product(np.ndindex(*entries.shape), repeat=n):
+            p = math.prod(entries[c] for c in cells)
+            want[sum(a[i] for i, _ in cells) - lo_a, sum(b[j] for _, j in cells) - lo_b] += p
+        assert np.allclose(law, want, rtol=0.0, atol=1e-15)
+
     def test_irrational_scores_fall_back_to_enumeration(self):
         base = random_joint(2, 2, seed=4)
         res = rho(base)
@@ -307,3 +322,7 @@ class TestLemma7:
     def test_minimum_resolution(self):
         with pytest.raises(OutOfRange):
             lemma7_profile(999)
+
+    def test_grid_bounded_by_state_cap(self):
+        with pytest.raises(OutOfRange):
+            lemma7_profile(STATE_CAP + 1)

@@ -394,6 +394,21 @@ class TestFullReport:
         assert rep.tau == pytest.approx(1.0, abs=1e-9)
         assert abs(score_correlation(from_matrix(arr), *rep.rho_witness)) == pytest.approx(1.0)
 
+    def test_psi_sanity_bound_is_relative(self):
+        # psi is about 1e20 here, so an absolute slack of 1e-6 is below its ulp
+        m = from_matrix(
+            [
+                [1e-20, 0, 0, 0],
+                [0, 0.16983907276498375, 0.1527896704525226, 0.16363595174591353],
+                [0, 0.12202756418380792, 0.045375786940476275, 0.14201483046180086],
+                [0, 0.0391155338497711, 0.15361189782605128, 0.01158969177467262],
+            ],
+            normalize=True,
+        )
+        rep = full_report(m, mode="exact")
+        assert rep.psi > 1e19
+        assert rep.psi <= 1.0 / m.entries[m.entries > 0].min() * (1.0 + 1e-9)
+
     def test_score_correlation_huge_scores(self):
         m = yy(0.5)
         for scale in (1e155, 1e300, 1e-300):
