@@ -40,7 +40,7 @@ from .errors import (
 )
 from .joint_pmf import JointPMF, from_jsonable, from_matrix, kron, unwrap_manifest
 from .measures import event_measure, rho as _rho
-from .theorem_suite import CheckResult, _result
+from .theorem_suite import BOUND_TOL, CheckResult, _result
 
 STATE_CAP = 10**7
 LATTICE_MAX_DENOMINATOR = 10**4
@@ -453,13 +453,14 @@ def theorem6_witness_search(
     samples: int = 200_000,
     seed: int | None = None,
 ) -> WitnessHit | None:
-    """Scan n = 1..n_max for indicator correlation strictly above t.
+    """Scan n = 1..n_max for indicator correlation above t by more than BOUND_TOL.
 
     Requires tau(base) = t exactly (within 1e-9).  Returns None at once
     when r <= sin((pi/2) t): the limiting correlation (2/pi) arcsin(r) then
     cannot exceed t, so the scan is hopeless.  In Monte Carlo mode success
     demands a 3-standard-error margin.  A hit is a concrete finite join
-    whose tau exceeds the per-copy level t.
+    whose tau exceeds the per-copy level t; the tolerance keeps float noise
+    (at n = 1 the correlation equals t in exact arithmetic) from counting.
     """
     if not 0.0 < t < 1.0:
         raise OutOfRange(f"t must be in (0, 1), got {t!r}")
@@ -474,15 +475,15 @@ def theorem6_witness_search(
     for n in range(1, n_max + 1):
         est = theorem6_corr(sb, n, method=method, samples=samples, seed=seed)
         margin = 0.0 if est.method == "exact" else 3.0 * est.stderr
-        if est.value - margin > t:
-            slack = est.value - margin - t
+        slack = est.value - margin - t
+        if slack > BOUND_TOL:
             check = CheckResult(
                 check_name="sum_indicator_corr>t",
                 lhs=t,
                 rhs=est.value - margin,
                 slack=slack,
                 passed=True,
-                tolerance=0.0,
+                tolerance=BOUND_TOL,
                 instance_digest={
                     "n": n,
                     "t": t,

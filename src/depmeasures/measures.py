@@ -49,6 +49,9 @@ MODES = ("exact", "heuristic", "auto")
 EXACT_CAP_ROWS = 14
 EXACT_CAP_COLS = 14
 DEFAULT_RHO_TOL = 1e-10
+# A second left singular vector whose overlap with sqrt(r) exceeds this
+# comes from a repeated top singular value, not from the second pair.
+_TOP_SPACE_TOL = 1e-8
 
 # Witness fidelity and chain tolerances enforced on every report.
 WITNESS_TOL = 1e-12
@@ -585,7 +588,9 @@ def rho(M: JointPMF, tol: float = DEFAULT_RHO_TOL) -> RhoResult:
     correlation equal to the reported value.
 
     Degenerate pairs (fewer than two positive-mass atoms on either side)
-    have maximal correlation 0 and a zero witness.
+    have maximal correlation 0 and a zero witness.  When the top singular
+    value repeats, the witness comes from the part of the top space
+    orthogonal to sqrt(r) (see :func:`_centered_top_pair`).
     """
     if not tol > 0.0:
         raise OutOfRange(f"tol must be positive, got {tol!r}")
@@ -598,11 +603,11 @@ def rho(M: JointPMF, tol: float = DEFAULT_RHO_TOL) -> RhoResult:
     f = np.zeros(M.n_rows)
     g = np.zeros(M.n_cols)
 
-    rs = r[rpos]
-    cs = c[cpos]
+    sqrt_r = np.sqrt(r[rpos])
+    sqrt_c = np.sqrt(c[cpos])
     # Two-stage division: sqrt(outer(r, c)) can underflow to 0 for
     # near-degenerate atoms even though every quotient is bounded by 1.
-    q = (sub / np.sqrt(rs)[:, None]) / np.sqrt(cs)[None, :]
+    q = (sub / sqrt_r[:, None]) / sqrt_c[None, :]
     if not np.all(np.isfinite(q)):
         raise ConvergenceFailure("normalized matrix has non-finite entries")
     try:
@@ -624,17 +629,39 @@ def rho(M: JointPMF, tol: float = DEFAULT_RHO_TOL) -> RhoResult:
         raise InvariantViolation(f"singular values out of order: {sigma1}, {sigma2}")
     u2 = u_mat[:, 1]
     v2 = vt[1]
+    if abs(float(u2 @ sqrt_r)) > _TOP_SPACE_TOL:
+        u2, v2 = _centered_top_pair(q, u_mat[:, :2], sqrt_r)
     residual = max(
         float(np.linalg.norm(q @ v2 - sigma2 * u2)),
         float(np.linalg.norm(q.T @ u2 - sigma2 * v2)),
     )
     if residual > tol:
         raise ConvergenceFailure(f"singular-pair residual {residual} exceeds tol {tol}")
-    f[rpos] = u2 / np.sqrt(rs)
-    g[cpos] = v2 / np.sqrt(cs)
+    f[rpos] = u2 / sqrt_r
+    g[cpos] = v2 / sqrt_c
     value = min(max(sigma2, 0.0), 1.0)
     spectral = RhoSpectral(sigma1=sigma1, sigma2=sigma2, residual=residual)
     return RhoResult(value=value, spectral=spectral, witness=(f, g))
+
+
+def _centered_top_pair(
+    q: np.ndarray, u_top: np.ndarray, sqrt_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A singular pair of the repeated top space orthogonal to (sqrt r, sqrt c).
+
+    When sigma1 = sigma2 the SVD may return any orthonormal basis of the
+    top space, so its second left vector need not be orthogonal to sqrt(r)
+    and its rescaled scores need not be centered.  sqrt(r) is projected
+    out of both top left vectors, the longer remainder (the better
+    conditioned one) is normalized to u, and v = q^T u / |q^T u|.
+    """
+    unit = sqrt_r / np.linalg.norm(sqrt_r)
+    rest = u_top - np.outer(unit, unit @ u_top)
+    lengths = np.linalg.norm(rest, axis=0)
+    k = int(np.argmax(lengths))
+    u = rest[:, k] / lengths[k]
+    v = q.T @ u
+    return u, v / np.linalg.norm(v)
 
 
 def score_correlation(M: JointPMF, f: np.ndarray, g: np.ndarray) -> float:

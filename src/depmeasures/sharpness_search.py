@@ -7,11 +7,13 @@ Two objectives:
     t*sqrt(1 - log t) (two-atom row field).  The bounds are theorems, so a
     run reporting an objective above its bound is a build-failing internal
     error, never a discovery.
-  * max tensor gap -- a certified lower bound on tau(M join M) - tau(M),
-    where the lower bound comes from embedded single-copy events, threshold
-    events of summed atom scores (their law from the lattice convolution
+  * max tensor gap -- tau(M join M) - tau(M), exact when the join is
+    within the exact caps (bases up to 3x3) and otherwise a certified lower
+    bound from embedded single-copy events, threshold events of summed
+    atom scores (their law from the lattice convolution
     ``constructions.score_sum_law``, shared with theorem6), and the
-    alternating heuristic on the join.  The gap can never exceed
+    alternating heuristic on the join.  Threshold events of higher join
+    powers (``n_max >= 3``) raise it further.  The gap can never exceed
     psi(M) - tau(M).
 
 Proposals are Dirichlet perturbations centered at the current state;
@@ -29,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .constructions import score_sum_law
-from .errors import InvariantViolation, OutOfRange, SizeOverflow
+from .errors import InvariantViolation, OutOfRange
 from .joint_pmf import JointPMF, from_matrix, kron
 from .measures import (
     DependenceReport,
@@ -318,30 +320,36 @@ def _threshold_family_bound(M: JointPMF, n: int) -> float:
 def tensor_gap_lower_bound(M: JointPMF, n_max: int = 2) -> float:
     """Certified lower bound on max over 2..n_max of tau(n-fold join) - tau(M).
 
-    Candidates: the embedded single-copy events (gap 0), threshold events
-    of summed scores for each join power, and the alternating heuristic on
-    the 2-fold join.  Every candidate evaluates actual events, so the
-    result never exceeds the true gap.
+    When the 2-fold join is within the exact caps (bases up to 3x3), its
+    gap is exact: tau of the join comes from the value-only exact scan,
+    so at ``n_max = 2`` the result is the true gap.  Beyond the caps the
+    2-fold candidates are threshold events of summed scores and the
+    alternating heuristic on the join.  Every ``n >= 3`` adds the
+    threshold events of that join power.  Every candidate evaluates
+    actual events (the single-copy embedding gives gap 0), so the result
+    never exceeds the true gap.
     """
     if n_max < 2:
         raise OutOfRange(f"n_max must be >= 2, got {n_max}")
     tau_m = _exact_tau(M.entries)
-    lower = tau_m  # embedding of a single copy
-    for n in range(2, n_max + 1):
+    joined = kron(M, M)
+    if within_exact_cap(*joined.shape):
+        # threshold events of the 2-fold join cannot beat its exact tau
+        lower = _exact_tau(joined.entries)
+        first_family = 3
+    else:
+        lower, _ = _heuristic_scan(joined.entries, "tau")
+        first_family = 2
+    lower = max(lower, tau_m)  # embedding of a single copy
+    for n in range(first_family, n_max + 1):
         lower = max(lower, _threshold_family_bound(M, n))
-    try:
-        joined = kron(M, M)
-        heur, _ = _heuristic_scan(joined.entries, "tau")
-        lower = max(lower, heur)
-    except SizeOverflow:  # pragma: no cover - shapes are capped well below
-        pass
     return lower - tau_m
 
 
 def search_tensor_gap(
     cfg: SearchConfig, n_max: int = 2, on_accept: AcceptHook | None = None
 ) -> SearchResult:
-    """Anneal toward max certified tensor gap.
+    """Anneal toward max tensor gap (exact at n_max = 2 up to 3x3 bases).
 
     The reported bound is psi(best) - tau(best): tau of any independent
     join of copies of M is at most max(tau, psi) = psi, so no state can

@@ -191,6 +191,20 @@ def check_peyre_bound(M: JointPMF, digest: dict | None = None) -> CheckResult:
     return _peyre_result(rep, digest or _shape_digest(M))
 
 
+def _pair_digest(M1: JointPMF, M2: JointPMF, digest: dict | None) -> dict:
+    return digest or {"shape1": [M1.n_rows, M1.n_cols], "shape2": [M2.n_rows, M2.n_cols]}
+
+
+def _csaki_results(r1: float, r2: float, rk: float, digest: dict) -> list[CheckResult]:
+    d = dict(digest)
+    d.update({"rho1": r1, "rho2": r2, "rho_kron": rk})
+    target = max(r1, r2)
+    return [
+        _result("rho(kron)<=max(rho1,rho2)", rk, target, SPECTRAL_EQ_TOL, d),
+        _result("rho(kron)>=max(rho1,rho2)", target, rk, SPECTRAL_EQ_TOL, d),
+    ]
+
+
 def check_csaki_fischer(
     M1: JointPMF, M2: JointPMF, digest: dict | None = None, rho_tol: float = 1e-10
 ) -> list[CheckResult]:
@@ -203,37 +217,13 @@ def check_csaki_fischer(
     r1 = _rho(M1, tol=rho_tol).value
     r2 = _rho(M2, tol=rho_tol).value
     rk = _rho(joined, tol=rho_tol).value
-    target = max(r1, r2)
-    d = digest or {
-        "shape1": [M1.n_rows, M1.n_cols],
-        "shape2": [M2.n_rows, M2.n_cols],
-    }
-    d = dict(d)
-    d.update({"rho1": r1, "rho2": r2, "rho_kron": rk})
-    return [
-        _result("rho(kron)<=max(rho1,rho2)", rk, target, SPECTRAL_EQ_TOL, d),
-        _result("rho(kron)>=max(rho1,rho2)", target, rk, SPECTRAL_EQ_TOL, d),
-    ]
+    return _csaki_results(r1, r2, rk, _pair_digest(M1, M2, digest))
 
 
-def check_cousin(
-    M1: JointPMF, M2: JointPMF, digest: dict | None = None
+def _cousin_results(
+    repk: DependenceReport, rep1: DependenceReport, rep2: DependenceReport, digest: dict
 ) -> list[CheckResult]:
-    """Independent join: tau(join) <= max(tau_1, psi_2), plus embedding bound.
-
-    The companion result asserts tau(join) >= max(tau_1, tau_2), which holds
-    because each factor's events embed into the join.  The digest records
-    the non-asserted gap tau(join) - max(tau_1, rho_2).  The join's report
-    comes first: it raises TooLargeForExact when the join is beyond the cap.
-    """
-    repk = full_report(kron(M1, M2), mode="exact")
-    rep1 = full_report(M1, mode="exact")
-    rep2 = full_report(M2, mode="exact")
-    d = digest or {
-        "shape1": [M1.n_rows, M1.n_cols],
-        "shape2": [M2.n_rows, M2.n_cols],
-    }
-    d = dict(d)
+    d = dict(digest)
     d.update(
         {
             "tau1": rep1.tau,
@@ -241,7 +231,7 @@ def check_cousin(
             "psi2": rep2.psi,
             "tau_kron": repk.tau,
             # evidence only: can psi_2 be weakened to rho_2?  not asserted
-            "rho_replacement_gap": repk.tau - max(rep1.tau, _rho(M2).value),
+            "rho_replacement_gap": repk.tau - max(rep1.tau, rep2.rho),
         }
     )
     return [
@@ -262,6 +252,22 @@ def check_cousin(
             repk.tau_witness,
         ),
     ]
+
+
+def check_cousin(
+    M1: JointPMF, M2: JointPMF, digest: dict | None = None
+) -> list[CheckResult]:
+    """Independent join: tau(join) <= max(tau_1, psi_2), plus embedding bound.
+
+    The companion result asserts tau(join) >= max(tau_1, tau_2), which holds
+    because each factor's events embed into the join.  The digest records
+    the non-asserted gap tau(join) - max(tau_1, rho_2).  The join's report
+    comes first: it raises TooLargeForExact when the join is beyond the cap.
+    """
+    repk = full_report(kron(M1, M2), mode="exact")
+    rep1 = full_report(M1, mode="exact")
+    rep2 = full_report(M2, mode="exact")
+    return _cousin_results(repk, rep1, rep2, _pair_digest(M1, M2, digest))
 
 
 def check_cousin_multi(Ms: Sequence[JointPMF], digest: dict | None = None) -> CheckResult:
@@ -333,9 +339,15 @@ def fuzz(
             m_b = random_joint(n_rows, n_cols, seed_b, style)
             pair_digest = dict(digest)
             pair_digest["seed2"] = seed_b
-            batch.extend(check_csaki_fischer(m_a, m_b, pair_digest))
-            if within_exact_cap(n_rows * n_rows, n_cols * n_cols):
-                batch.extend(check_cousin(m_a, m_b, pair_digest))
+            joined = kron(m_a, m_b)
+            if within_exact_cap(*joined.shape):
+                repk = full_report(joined, mode="exact")
+                rep_b = full_report(m_b, mode="exact")
+                batch.extend(_csaki_results(rep.rho, rep_b.rho, repk.rho, pair_digest))
+                batch.extend(_cousin_results(repk, rep, rep_b, pair_digest))
+            else:
+                rho_b, rho_k = _rho(m_b).value, _rho(joined).value
+                batch.extend(_csaki_results(rep.rho, rho_b, rho_k, pair_digest))
         results.extend(batch)
         matrices.append((idx, m_a, m_b))
 

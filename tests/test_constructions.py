@@ -27,6 +27,7 @@ from depmeasures import (
 )
 
 from depmeasures.constructions import STATE_CAP, score_sum_law
+from depmeasures.theorem_suite import BOUND_TOL
 
 from oracles import sum_indicator_corr_bruteforce
 
@@ -301,6 +302,21 @@ class TestWitnessSearch:
         hit = theorem6_witness_search(0.2, sb_forced, 2, method="exact")
         # the true correlations stay at 0.2-level, so no n can win
         assert hit is None
+
+
+    def test_no_hit_from_float_noise_at_n_one(self):
+        # At n = 1 the indicator correlation is tau(base) = t in exact
+        # arithmetic; the exact lattice read it 6.9e-18 above t.
+        marg = np.array([1 / 8, 3 / 4, 1 / 8])
+        corner = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
+        base = from_matrix(np.outer(marg, marg) + 0.32203486496116707 / 64 * corner)
+        sb = make_scored_base(base, [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
+        t = event_measure(base, "tau", mode="exact").value
+        assert theorem6_witness_search(t, sb, 1, method="exact") is None
+        hit = theorem6_witness_search(t, sb, 3, method="exact")
+        assert hit is not None and hit.n == 2
+        assert hit.check.slack > BOUND_TOL
+        assert hit.check.tolerance == BOUND_TOL
 
 
 class TestLemma7:

@@ -308,6 +308,33 @@ class TestRho:
         assert res.value == 0.0
         assert res.spectral.sigma2 == 0.0
 
+    def test_repeated_top_singular_value_witness_is_centered(self):
+        # sigma1 = sigma2 = 1: the SVD's second vector may be sqrt(r) itself
+        m = from_matrix([[1e-30, 0.0, 0.0], [0.0, 0.3, 0.7]], normalize=True)
+        res = rho(m)
+        assert res.value == 1.0
+        f, g = res.witness
+        assert m.entries.sum(axis=1) @ f == pytest.approx(0.0, abs=1e-12)
+        assert m.entries.sum(axis=0) @ g == pytest.approx(0.0, abs=1e-12)
+        assert abs(score_correlation(m, f, g)) == pytest.approx(1.0, abs=1e-9)
+        assert full_report(m).rho == 1.0
+
+    def test_isolated_tiny_atom_blocks_report_cleanly(self):
+        # A 1e-100 atom beside a random block repeats the top singular value;
+        # these raised a false rho-witness InvariantViolation before.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            a, b = rng.integers(2, 5, size=2)
+            arr = np.zeros((a + 1, b + 1))
+            arr[0, 0] = 1e-100
+            arr[1:, 1:] = rng.random((a, b))
+            m = from_matrix(arr / arr.sum(), normalize=True)
+            rep = full_report(m)
+            assert rep.rho == pytest.approx(1.0, abs=1e-9)
+            assert abs(score_correlation(m, *rep.rho_witness)) == pytest.approx(
+                1.0, abs=1e-9
+            )
+
     def test_tol_validated(self):
         with pytest.raises(OutOfRange):
             rho(yy(0.5), tol=0.0)

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from grid_oracle import grid_scan
+
 from depmeasures import (
     OutOfRange,
     SearchConfig,
@@ -15,6 +17,16 @@ from depmeasures import (
     tensor_gap_lower_bound,
     yy_pair,
 )
+from depmeasures.cli import run
+from depmeasures.joint_pmf import RANDOM_STYLES, from_matrix
+from depmeasures.measures import _heuristic_scan
+from depmeasures.sharpness_search import _exact_tau, _threshold_family_bound
+
+
+def grid_gap(m):
+    """Exact 2-fold gap and tau of the join, from the two-sided grid oracle."""
+    tau_join = grid_scan(kron(m, m).entries)[0]["tau"]
+    return tau_join - grid_scan(m.entries)[0]["tau"], tau_join
 
 
 class TestSearchConfig:
@@ -129,3 +141,44 @@ class TestTensorGap:
         assert a.objective == b.objective
         assert a.objective <= a.bound + 1e-9
         assert a.objective >= -1e-12
+
+    def test_two_fold_gap_is_exact_within_cap(self):
+        rng = np.random.default_rng(10)
+        for shape in ((2, 2), (3, 3)):
+            for style in RANDOM_STYLES:
+                for _ in range(4):
+                    m = random_joint(*shape, seed=int(rng.integers(1e9)), style=style)
+                    gap, tau_join = grid_gap(m)
+                    assert abs(tensor_gap_lower_bound(m, 2) - gap) <= 1e-13 * tau_join
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 8)])
+    def test_beyond_cap_keeps_the_lower_bound_path(self, shape):
+        m = random_joint(*shape, seed=11)
+        tau_m = _exact_tau(m.entries)
+        heur, _ = _heuristic_scan(kron(m, m).entries, "tau")
+        expected = max(tau_m, _threshold_family_bound(m, 2), heur) - tau_m
+        assert tensor_gap_lower_bound(m, 2) == expected
+
+    def test_more_join_powers_never_lower_the_gap(self):
+        rng = np.random.default_rng(12)
+        for shape in ((2, 2), (3, 3)):
+            for _ in range(3):
+                m = random_joint(*shape, seed=int(rng.integers(1e9)))
+                assert tensor_gap_lower_bound(m, 3) >= tensor_gap_lower_bound(m, 2)
+
+
+class TestTensorGapCli:
+    def test_objective_is_the_exact_gap_of_the_best_state(self, tmp_path):
+        out = tmp_path / "gap.json"
+        argv = ["search", "tensor-gap", "--shape", "3x3", "--nmax", "2",
+                "--budget", "20", "--restarts", "1", "--seed", "3"]
+        assert run([*argv, "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            res = json.load(fh)["result"]
+        best = from_matrix(np.array(res["best"]["matrix"]))
+        gap, _ = grid_gap(best)
+        assert res["objective"] == pytest.approx(gap, rel=0, abs=1e-12)
+        assert res["objective"] <= res["bound"] + 1e-9
+        running = [v for _, v in res["trace"]]
+        assert running == sorted(running)
+        assert running[-1] == res["objective"]

@@ -250,6 +250,28 @@ class TestFuzz:
         with pytest.raises(TooLargeForExact):
             fuzz(shapes=[(20, 2)], styles=["dense"], count=1, seed=16)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4)])
+    def test_pair_results_match_the_public_checkers(self, shape):
+        # fuzz reuses each factor's report; its pair results must equal
+        # what the public checkers compute from scratch
+        count, seed = 3, 18
+        rep = fuzz(shapes=[shape], styles=["sparse"], count=count, seed=seed)
+        seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=(count, 2))
+        expected = []
+        for idx, (seed_a, seed_b) in enumerate(seeds):
+            m_a = random_joint(*shape, int(seed_a), "sparse")
+            m_b = random_joint(*shape, int(seed_b), "sparse")
+            digest = {"index": idx, "shape": list(shape), "style": "sparse",
+                      "seed": int(seed_a), "seed2": int(seed_b)}
+            expected += check_csaki_fischer(m_a, m_b, digest)
+            if shape != (4, 4):  # 16x16 join: beyond the exact caps
+                expected += check_cousin(m_a, m_b, digest)
+        def key(res):
+            return res.check_name, res.instance_digest["index"]
+
+        got = [r for r in rep.near_sharp if "seed2" in r.instance_digest]
+        assert sorted(got, key=key) == sorted(expected, key=key)
+
     def test_failures_embed_matrices_for_replay(self, monkeypatch):
         import depmeasures.theorem_suite as suite
 
