@@ -281,11 +281,6 @@ def _manifest(args: argparse.Namespace, started: str, finished: str) -> dict:
         for k, v in sorted(vars(args).items())
         if k not in ("out", "format") and v is not None
     }
-    for key, value in params.items():
-        if isinstance(value, list) and value and isinstance(value[0], tuple):
-            params[key] = [list(v) for v in value]
-        elif isinstance(value, tuple):
-            params[key] = list(value)
     return {
         "command": args.command,
         "parameters": params,

@@ -98,9 +98,9 @@ def embellish(base: JointPMF, t: float) -> tuple[JointPMF, list[CheckResult]]:
         "tau_joined": tau_joined,
     }
     checks = [
-        _result("tau(embellished)<=t", tau_joined, t, 1e-9, digest),
-        _result("tau(embellished)>=t", t, tau_joined, 1e-9, digest),
-        _result("rho(embellished)>=rho(base)", rho_base, rho_joined, 1e-9, digest),
+        _result("tau(embellished)<=t", tau_joined, t, BOUND_TOL, digest),
+        _result("tau(embellished)>=t", t, tau_joined, BOUND_TOL, digest),
+        _result("rho(embellished)>=rho(base)", rho_base, rho_joined, BOUND_TOL, digest),
     ]
     return joined, checks
 

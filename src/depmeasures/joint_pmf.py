@@ -211,18 +211,21 @@ def kron(M1: JointPMF, M2: JointPMF, entry_cap: int = DEFAULT_KRON_ENTRY_CAP) ->
     entrywise tensor matrix: entry ((i1,i2),(j1,j2)) = p1[i1,j1]*p2[i2,j2],
     with both product indices ordered lexicographically.  That ordering is
     part of the public contract so witnesses on the product decode into
-    per-factor events.
+    per-factor events.  Factors within the normalization tolerance can
+    multiply to a total outside it; only then is the product rescaled to
+    total 1, so the join loads wherever its factors do.
     """
     n_entries = M1.n_rows * M2.n_rows * M1.n_cols * M2.n_cols
     if n_entries > entry_cap:
         raise SizeOverflow(f"product would have {n_entries} entries > cap {entry_cap}")
     arr = np.kron(M1.entries, M2.entries)
+    normalize = abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL
     row_labels = col_labels = None
     if M1.row_labels is not None and M2.row_labels is not None:
         row_labels = tuple(f"({a},{b})" for a in M1.row_labels for b in M2.row_labels)
     if M1.col_labels is not None and M2.col_labels is not None:
         col_labels = tuple(f"({a},{b})" for a in M1.col_labels for b in M2.col_labels)
-    return from_matrix(arr, row_labels=row_labels, col_labels=col_labels)
+    return from_matrix(arr, normalize=normalize, row_labels=row_labels, col_labels=col_labels)
 
 
 def kron_all(Ms: Sequence[JointPMF], entry_cap: int = DEFAULT_KRON_ENTRY_CAP) -> JointPMF:

@@ -23,7 +23,14 @@ up to the 14 x 14 cap: :func:`within_exact_cap` is the one rule for it,
 which ``event_measure`` and ``full_report`` apply through one gate and the
 fuzz harness and the search reuse.  Beyond the cap an alternating
 threshold-ascent heuristic on the same split scoring returns certified
-lower bounds.
+lower bounds.  All three statistics, of one pair or of many splits, come
+from one elementwise kernel, ``_statistic``.
+
+Witness rule: in both modes the statistic of each witness pair, by
+:func:`event_statistic`, must agree with the scan's or the heuristic's raw
+value within ``WITNESS_TOL`` relative to max(1, |value|), else
+InvariantViolation is raised.  An exact value is reported as its witness's
+statistic; a heuristic value as the heuristic found it.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ DEFAULT_RHO_TOL = 1e-10
 # comes from a repeated top singular value, not from the second pair.
 _TOP_SPACE_TOL = 1e-8
 
-# Witness fidelity and chain tolerances enforced on every report.
+# Witness fidelity (relative to max(1, |value|)) and chain tolerances
+# enforced on every report.
 WITNESS_TOL = 1e-12
 CHAIN_TOL = 1e-9
 DOUBLING_TOL = 1e-12
@@ -101,9 +109,10 @@ class DependenceReport:
     """All four measures with optimality witnesses.
 
     ``lam`` is the lambda coefficient (field renamed: keyword).  Witness
-    events reproduce their value under :func:`event_statistic`; the rho
-    witness is a pair of mean-0 variance-1 score vectors over row/column
-    atoms whose correlation equals rho.
+    events reproduce their value under :func:`event_statistic` (exactly in
+    exact mode, within ``WITNESS_TOL`` in heuristic mode); the rho witness
+    is a pair of mean-0 variance-1 score vectors over row/column atoms
+    whose correlation equals rho.
     """
 
     psi: float
@@ -159,11 +168,11 @@ def _bool_masks(M: JointPMF, e: EventPair) -> tuple[np.ndarray, np.ndarray]:
     return rmask, cmask
 
 
-def _quadrants(entries: np.ndarray, rmask: np.ndarray, cmask: np.ndarray) -> tuple[float, float, float, float]:
-    p11 = float(entries[rmask][:, cmask].sum())
-    p10 = float(entries[rmask][:, ~cmask].sum())
-    p01 = float(entries[~rmask][:, cmask].sum())
-    p00 = float(entries[~rmask][:, ~cmask].sum())
+def _quadrants(entries: np.ndarray, rmask: np.ndarray, cmask: np.ndarray) -> tuple[np.float64, ...]:
+    p11 = entries[rmask][:, cmask].sum()
+    p10 = entries[rmask][:, ~cmask].sum()
+    p01 = entries[~rmask][:, cmask].sum()
+    p00 = entries[~rmask][:, ~cmask].sum()
     return p11, p10, p01, p00
 
 
@@ -177,7 +186,7 @@ def event_covariance(M: JointPMF, e: EventPair) -> float:
     """
     rmask, cmask = _bool_masks(M, e)
     p11, p10, p01, p00 = _quadrants(M.entries, rmask, cmask)
-    return p11 * p00 - p10 * p01
+    return float(p11 * p00 - p10 * p01)
 
 
 def event_statistic(M: JointPMF, e: EventPair, kind: str) -> float:
@@ -186,23 +195,25 @@ def event_statistic(M: JointPMF, e: EventPair, kind: str) -> float:
     rmask, cmask = _bool_masks(M, e)
     p11, p10, p01, p00 = _quadrants(M.entries, rmask, cmask)
     num = abs(p11 * p00 - p10 * p01)
-    pa, pac = p11 + p10, p01 + p00
-    pb, pbc = p11 + p01, p10 + p00
-    # Staged division: products of near-degenerate event masses can
-    # underflow even when the statistic itself is moderate.
-    if kind == "psi":
-        if pa <= 0.0 or pb <= 0.0:
-            return 0.0
-        return num / pa / pb
-    if kind == "lambda":
-        if pa <= 0.0 or pb <= 0.0:
-            return 0.0
-        return num / math.sqrt(pa) / math.sqrt(pb)
-    var_a = pa * pac
-    var_b = pb * pbc
-    if var_a <= 0.0 or var_b <= 0.0:
-        return 0.0
-    return num / math.sqrt(var_a) / math.sqrt(var_b)
+    return float(_statistic(kind, num, p11 + p10, p01 + p00, p11 + p01, p10 + p00))
+
+
+def _statistic(kind: str, num, pa, pac, pb, pbc) -> np.ndarray:
+    """psi, lambda or tau from |covariance| and event masses, elementwise.
+
+    pa, pac, pb, pbc are P(A), P(A^c), P(B), P(B^c); psi and lambda read
+    only P(A) and P(B).  0/0 is read as 0.  Divisions are staged: products
+    of near-degenerate event masses can underflow even when the statistic
+    itself is moderate.  Scalars must be numpy floats, so that a zero
+    divisor yields a masked quotient rather than an exception.
+    """
+    da, db = (pa * pac, pb * pbc) if kind == "tau" else (pa, pb)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == "psi":
+            stat = num / da / db
+        else:
+            stat = num / np.sqrt(da) / np.sqrt(db)
+    return np.where((da > 0.0) & (db > 0.0), stat, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +257,14 @@ def _splits(w: np.ndarray, marg: np.ndarray, rank: bool = True) -> tuple[np.ndar
 def _split_stat(kind: str, num, pt, ptc, p_s, p_sc, fixed: bool = False) -> np.ndarray:
     """Statistic of every split, scoring the better of T and T^c.
 
-    psi and lambda divide by the smaller of P(S), P(S^c) (by P(S) when the
-    event S is ``fixed`` rather than a class) and by min(P(T), P(T^c));
-    tau by the two variances.  Divisions are staged: products of
-    near-degenerate masses can underflow while the statistic is moderate.
+    psi and lambda score the smaller of P(S), P(S^c) (P(S) when the event
+    S is ``fixed`` rather than a class) and the smaller of P(T), P(T^c);
+    tau is complement-invariant.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind == "tau":
-            var_s = (p_s * p_sc)[:, None]
-            var_t = pt * ptc
-            stat = num / np.sqrt(var_s) / np.sqrt(var_t)
-            return np.where((var_s > 0.0) & (var_t > 0.0), stat, 0.0)
-        s_mass = (p_s if fixed else np.minimum(p_s, p_sc))[:, None]
-        t_mass = np.minimum(pt, ptc)
-        if kind == "lambda":
-            stat = num / np.sqrt(s_mass) / np.sqrt(t_mass)
-        else:
-            stat = num / s_mass / t_mass
-        return np.where((s_mass > 0.0) & (t_mass > 0.0), stat, 0.0)
+    if kind != "tau":
+        p_s = p_s if fixed else np.minimum(p_s, p_sc)
+        pt = np.minimum(pt, ptc)
+    return _statistic(kind, num, p_s[:, None], p_sc[:, None], pt, ptc)
 
 
 def _attaining(kind: str, pa, pb) -> tuple:
@@ -341,10 +342,7 @@ def _psi_closed_form(entries: np.ndarray) -> tuple[float, tuple[int, int]]:
     p01 = _sum_excluding(entries.T).T
     p00 = _sum_excluding(p10.T).T
     num = np.abs(entries * p00 - p10 * p01)
-    pa = entries + p10
-    pb = entries + p01
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        stat = np.where((pa > 0.0) & (pb > 0.0), num / pa / pb, 0.0)
+    stat = _statistic("psi", num, entries + p10, None, entries + p01, None)
     top = stat.max()
     flat = int(np.argmax(stat >= top * _TIE_FRACTION))
     return float(top), divmod(flat, entries.shape[1])
@@ -543,28 +541,41 @@ def event_measure(M: JointPMF, kind: str, mode: str = "auto") -> EventMeasure:
     Exact mode (requires the shape within the cap) is the closed form for
     psi and one-sided class enumeration for lambda and tau; heuristic mode
     returns a lower bound from threshold ascent and is flagged as such.
-    ``auto`` picks exact whenever it is feasible.
+    ``auto`` picks exact whenever it is feasible.  The witness rule of
+    the module docstring applies.
     """
     _check_kind(kind)
-    if _use_exact(M, mode):
-        values, wit = _exact_scan(M.entries, (kind,), witnesses=True)
-        value = _witness_value(M, wit[kind], kind, values[kind])
-        return EventMeasure(value=value, witness=wit[kind], mode="exact")
-    value, pair = _heuristic_scan(M.entries, kind)
-    return EventMeasure(value=value, witness=pair, mode="heuristic")
+    values, wit, used = _witnessed(M, (kind,), mode)
+    return EventMeasure(value=values[kind], witness=wit[kind], mode=used)
 
 
-def _witness_value(M: JointPMF, pair: EventPair, kind: str, fallback: float) -> float:
-    """Report the witness's own re-evaluated statistic.
+def _witnessed(
+    M: JointPMF, kinds: Sequence[str], mode: str
+) -> tuple[dict[str, float], dict[str, EventPair], str]:
+    """Suprema of ``kinds``, witnesses, and the mode ``mode`` resolved to.
 
-    The enumeration and the single-pair evaluation follow slightly
-    different float paths; quoting the witness's value keeps witness
-    fidelity exact at every magnitude (psi can be enormous on matrices
-    with near-zero entries).
+    Applies the witness rule of the module docstring, evaluating each
+    witness's statistic once.  Exact values are quoted at the witness
+    because the scan and the single-pair evaluation follow different float
+    paths: quoting keeps witness fidelity exact at every magnitude.
     """
-    if pair.row_set or pair.col_set:
-        return event_statistic(M, pair, kind)
-    return fallback
+    exact = _use_exact(M, mode)
+    used = "exact" if exact else "heuristic"
+    if exact:
+        values, wit = _exact_scan(M.entries, kinds, witnesses=True)
+    else:
+        values, wit = {}, {}
+        for k in kinds:
+            values[k], wit[k] = _heuristic_scan(M.entries, k)
+    for k in kinds:
+        quoted = event_statistic(M, wit[k], k)
+        if abs(quoted - values[k]) > WITNESS_TOL * max(1.0, abs(quoted)):
+            raise InvariantViolation(
+                f"{k} witness reproduces {quoted!r}, the {used} scan found {values[k]!r}"
+            )
+        if exact:
+            values[k] = quoted
+    return values, wit, used
 
 
 def exact_event_values(M: JointPMF) -> dict[str, float]:
@@ -694,23 +705,15 @@ def score_correlation(M: JointPMF, f: np.ndarray, g: np.ndarray) -> float:
 def full_report(M: JointPMF, mode: str = "auto") -> DependenceReport:
     """All four measures, witnesses, and mode flags, invariants enforced.
 
-    With exact event measures the report is checked against the inequality
-    chain lambda <= tau <= rho <= min(1, psi) and the doubling bound
-    tau <= 2*lambda before being returned; witness fidelity is always
-    checked.  Violations raise InvariantViolation (they indicate a bug, not
-    bad input).
+    In both modes each event witness is checked against its value (the
+    witness rule of the module docstring) and the rho witness against rho.
+    With exact event measures the report is also checked against the
+    inequality chain lambda <= tau <= rho <= min(1, psi) and the doubling
+    bound tau <= 2*lambda.  Violations raise InvariantViolation (they
+    indicate a bug, not bad input).
     """
-    if _use_exact(M, mode):
-        values, wit = _exact_scan(M.entries, KINDS, witnesses=True)
-        for k in KINDS:
-            values[k] = _witness_value(M, wit[k], k, values[k])
-        flags = {k: "exact" for k in KINDS}
-    else:
-        values, wit = {}, {}
-        for k in KINDS:
-            values[k], wit[k] = _heuristic_scan(M.entries, k)
-        flags = {k: "heuristic" for k in KINDS}
-
+    values, wit, used = _witnessed(M, KINDS, mode)
+    flags = dict.fromkeys(KINDS, used)
     rho_res = rho(M)
     flags["rho"] = "exact"
 
@@ -730,17 +733,6 @@ def full_report(M: JointPMF, mode: str = "auto") -> DependenceReport:
 
 
 def _enforce_report_invariants(M: JointPMF, rep: DependenceReport) -> None:
-    for k, wpair, val in (
-        ("psi", rep.psi_witness, rep.psi),
-        ("lambda", rep.lambda_witness, rep.lam),
-        ("tau", rep.tau_witness, rep.tau),
-    ):
-        if rep.mode_flags[k] == "exact" or wpair.row_set or wpair.col_set:
-            reval = event_statistic(M, wpair, k)
-            if abs(reval - val) > WITNESS_TOL:
-                raise InvariantViolation(
-                    f"{k} witness reproduces {reval!r}, reported {val!r}"
-                )
     wcorr = score_correlation(M, *rep.rho_witness)
     if rep.rho > 0.0 and abs(abs(wcorr) - rep.rho) > 10.0 * DEFAULT_RHO_TOL:
         raise InvariantViolation(

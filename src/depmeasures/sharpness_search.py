@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constructions import score_sum_law
+from .constructions import _indicator_corr, score_sum_law
 from .errors import InvariantViolation, OutOfRange
 from .joint_pmf import JointPMF, from_matrix, kron
 from .measures import (
@@ -211,17 +211,19 @@ def _feasible_init(cfg: SearchConfig) -> np.ndarray:
     raise InvariantViolation("could not construct a feasible initial state")
 
 
-def search_max_rho(cfg: SearchConfig, on_accept: AcceptHook | None = None) -> SearchResult:
-    """Anneal toward max rho over states with exact tau <= tau_cap.
+def _search(
+    cfg: SearchConfig,
+    objective: Callable[[np.ndarray], float],
+    bound_of: Callable[[DependenceReport], float],
+    on_accept: AcceptHook | None,
+) -> SearchResult:
+    """Anneal ``objective`` from the feasible start; check and report the best.
 
-    The initial state embeds a sign-product pair at the cap level, so the
-    objective starts at tau_cap.  ``on_accept(state, tau, rho)`` fires on
-    every accepted state, which the caller can use to audit feasibility.
+    Each restart anneals from the same initial state; the best objective
+    wins (the earliest restart on a tie).  The winner's objective must not
+    exceed ``bound_of`` its exact report (a theorem) nor its tau the cap
+    (checked on every proposal), so a breach raises InvariantViolation.
     """
-
-    def objective(entries: np.ndarray) -> float:
-        return _rho(from_matrix(entries)).value
-
     init = _feasible_init(cfg)
     outcomes = [
         _anneal(cfg, objective, restart, init, on_accept)
@@ -232,12 +234,10 @@ def search_max_rho(cfg: SearchConfig, on_accept: AcceptHook | None = None) -> Se
 
     best = from_matrix(best_state)
     report = full_report(best, mode="exact")
-    bound = (
-        tau_sqrt_log_bound(cfg.tau_cap) if cfg.two_atom else tau_log_bound(cfg.tau_cap)
-    )
+    bound = bound_of(report)
     if best_obj > bound + BOUND_TOL:
         raise InvariantViolation(
-            f"objective {best_obj!r} exceeds the theorem bound {bound!r}; "
+            f"objective {best_obj!r} exceeds its bound {bound!r}; "
             "this is an implementation bug"
         )
     if report.tau > cfg.tau_cap + BOUND_TOL:
@@ -247,10 +247,26 @@ def search_max_rho(cfg: SearchConfig, on_accept: AcceptHook | None = None) -> Se
         best_report=report,
         objective=best_obj,
         bound=bound,
-        ratio=best_obj / bound if bound > 0.0 else 0.0,
+        ratio=best_obj / bound if bound > 1e-12 else 0.0,
         trace=trace,
         seed=cfg.seed,
     )
+
+
+def search_max_rho(cfg: SearchConfig, on_accept: AcceptHook | None = None) -> SearchResult:
+    """Anneal toward max rho over states with exact tau <= tau_cap.
+
+    The initial state embeds a sign-product pair at the cap level, so the
+    objective starts at tau_cap.  ``on_accept(state, tau, rho)`` fires on
+    every accepted state, which the caller can use to audit feasibility.
+    The bound is the sharp theorem bound at tau_cap.
+    """
+
+    def objective(entries: np.ndarray) -> float:
+        return _rho(from_matrix(entries)).value
+
+    bound = tau_sqrt_log_bound(cfg.tau_cap) if cfg.two_atom else tau_log_bound(cfg.tau_cap)
+    return _search(cfg, objective, lambda _report: bound, on_accept)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +327,7 @@ def _threshold_family_bound(M: JointPMF, n: int) -> float:
     q11 = float(cur[i_star:, j_star:].sum())
     qa = float(cur[i_star:, :].sum())
     qb = float(cur[:, j_star:].sum())
-    den = math.sqrt(max(qa * (1.0 - qa) * qb * (1.0 - qb), 0.0))
-    if den <= 1e-12:
-        return 0.0
-    return float(min(abs(q11 - qa * qb) / den, 1.0))
+    return min(abs(_indicator_corr(q11, qa, qb)), 1.0)
 
 
 def tensor_gap_lower_bound(M: JointPMF, n_max: int = 2) -> float:
@@ -360,27 +373,4 @@ def search_tensor_gap(
     def objective(entries: np.ndarray) -> float:
         return tensor_gap_lower_bound(from_matrix(entries), n_max=n_max)
 
-    init = _feasible_init(cfg)
-    outcomes = [
-        _anneal(cfg, objective, restart, init, on_accept)
-        for restart in range(cfg.restarts)
-    ]
-    winner = max(range(cfg.restarts), key=lambda i: (outcomes[i][0], -i))
-    best_obj, best_state, trace = outcomes[winner]
-
-    best = from_matrix(best_state)
-    report = full_report(best, mode="exact")
-    bound = report.psi - report.tau
-    if best_obj > bound + BOUND_TOL:
-        raise InvariantViolation(
-            f"gap {best_obj!r} exceeds psi - tau = {bound!r}; implementation bug"
-        )
-    return SearchResult(
-        best=best,
-        best_report=report,
-        objective=best_obj,
-        bound=bound,
-        ratio=best_obj / bound if bound > 1e-12 else 0.0,
-        trace=trace,
-        seed=cfg.seed,
-    )
+    return _search(cfg, objective, lambda report: report.psi - report.tau, on_accept)

@@ -206,17 +206,16 @@ def _csaki_results(r1: float, r2: float, rk: float, digest: dict) -> list[CheckR
 
 
 def check_csaki_fischer(
-    M1: JointPMF, M2: JointPMF, digest: dict | None = None, rho_tol: float = 1e-10
+    M1: JointPMF, M2: JointPMF, digest: dict | None = None
 ) -> list[CheckResult]:
     """Independent join: rho(join) equals max(rho_1, rho_2).
 
-    Emitted as two one-sided results at the spectral tolerance; the
-    observed deviation stays below it for every rho_tol down to 1e-12.
+    Emitted as two one-sided results at the spectral tolerance.
     """
     joined = kron(M1, M2)
-    r1 = _rho(M1, tol=rho_tol).value
-    r2 = _rho(M2, tol=rho_tol).value
-    rk = _rho(joined, tol=rho_tol).value
+    r1 = _rho(M1).value
+    r2 = _rho(M2).value
+    rk = _rho(joined).value
     return _csaki_results(r1, r2, rk, _pair_digest(M1, M2, digest))
 
 

@@ -5,6 +5,8 @@ import pytest
 from depmeasures import random_joint, save_json
 from depmeasures.cli import run
 
+from test_measures import isolated_atom_matrices
+
 
 def read_doc(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -41,6 +43,28 @@ class TestBasicCommands:
         assert run(["kron", "--in1", str(a), "--in2", str(a), "--out", str(k)]) == 0
         rep = tmp_path / "rep.json"
         assert run(["measures", "--in", str(k), "--out", str(rep)]) == 0
+
+    def test_factors_within_tolerance_join_and_check(self, tmp_path):
+        # each factor sums to 1 + 6e-10, within tolerance; their product
+        # sums to 1 + 1.2e-9, which the join must not reject
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"matrix": [[0.3, 0.2], [0.1, 0.4 + 6e-10]]}))
+        k = tmp_path / "k.json"
+        assert run(["kron", "--in1", str(f), "--in2", str(f), "--out", str(k)]) == 0
+        assert run(["measures", "--in", str(k), "--out", str(tmp_path / "r.json")]) == 0
+        for name in ("cousin", "csaki-fischer"):
+            out = tmp_path / f"{name}.json"
+            assert run(["check", name, "--in1", str(f), "--in2", str(f), "--out", str(out)]) == 0
+
+    def test_isolated_atom_heuristic_report(self, tmp_path):
+        # 21x21 with a 1e-9 atom: exited 2 on a false witness violation
+        m = isolated_atom_matrices(2)[1]
+        assert m.shape == (21, 21)
+        f = tmp_path / "m.json"
+        write_matrix(f, m)
+        out = tmp_path / "r.json"
+        assert run(["measures", "--in", str(f), "--out", str(out)]) == 0
+        assert read_doc(out)["result"]["mode_flags"]["psi"] == "heuristic"
 
     def test_normalize_flag(self, tmp_path):
         f = tmp_path / "m.json"

@@ -25,7 +25,7 @@ from depmeasures import (
     permute,
     random_joint,
 )
-from depmeasures.joint_pmf import from_jsonable
+from depmeasures.joint_pmf import NORMALIZATION_TOL, from_jsonable
 
 from oracles import naive_event_measure, subset_masses
 
@@ -139,6 +139,17 @@ class TestKron:
         left = kron(kron(ms[0], ms[1]), ms[2])
         right = kron(ms[0], kron(ms[1], ms[2]))
         assert np.max(np.abs(left.entries - right.entries)) <= 1e-15
+
+    def test_factors_within_tolerance_join(self):
+        # each factor sums to 1 + 6e-10, inside the tolerance; the product's
+        # 1 + 1.2e-9 is outside it, so the product is rescaled to total 1
+        m = from_matrix([[0.3, 0.2], [0.1, 0.4 + 6e-10]])
+        k = kron(m, m)
+        assert abs(k.entries.sum() - 1.0) <= NORMALIZATION_TOL
+        assert np.allclose(k.entries, np.kron(m.entries, m.entries), rtol=2e-9, atol=0.0)
+        # a product within the tolerance is kept bit for bit
+        u = random_joint(3, 2, seed=1)
+        assert np.array_equal(kron(u, u).entries, np.kron(u.entries, u.entries))
 
     def test_size_overflow(self):
         m = random_joint(10, 10, seed=8)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from depmeasures import (
     ConvergenceFailure,
     EventPair,
+    InvariantViolation,
     OutOfRange,
     TooLargeForExact,
     event_covariance,
@@ -19,6 +20,7 @@ from depmeasures import (
     rho,
     score_correlation,
 )
+from depmeasures import measures
 
 from oracles import (
     correlation_of_scores,
@@ -34,6 +36,22 @@ def yy(t):
 
 def complement(indices, n):
     return frozenset(range(n)) - frozenset(indices)
+
+
+def isolated_atom_matrices(count=60):
+    """Uniform n x n matrices, n in [15, 22), with one atom of 1e-8 to 1e-39
+    alone in its row and column: psi is near 1/atom, beyond the exact cap."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(15, 22))
+        a = rng.random((n, n))
+        i, j = (int(x) for x in rng.integers(n, size=2))
+        a[i, :] = 0.0
+        a[:, j] = 0.0
+        a[i, j] = 10.0 ** -int(rng.integers(8, 40))
+        out.append(from_matrix(a, normalize=True))
+    return out
 
 
 class TestEventStatistic:
@@ -441,6 +459,41 @@ class TestFullReport:
         for scale in (1e155, 1e300, 1e-300):
             f = np.array([1.0, -1.0]) * scale
             assert score_correlation(m, f, np.array([2.0, -2.0])) == pytest.approx(0.5)
+
+    def test_heuristic_witness_check_is_relative(self):
+        # psi reaches 1e39 here, where one ulp exceeds an absolute 1e-12:
+        # 25 of these 60 raised a false witness InvariantViolation before
+        for m in isolated_atom_matrices():
+            rep = full_report(m)
+            assert rep.mode_flags["psi"] == "heuristic"
+            assert event_statistic(m, rep.psi_witness, "psi") == pytest.approx(
+                rep.psi, rel=1e-12
+            )
+
+    def test_non_maximal_exact_witness_raises(self, monkeypatch):
+        # A scan whose psi witness is not maximal must not have that
+        # witness's statistic quoted as the supremum.  The runner-up atom
+        # stays above rho, so no chain check would catch it.
+        m = random_joint(4, 4, seed=7)
+        atoms = sorted(
+            (EventPair.of((i,), (j,)) for i in range(4) for j in range(4)),
+            key=lambda e: event_statistic(m, e, "psi"),
+        )
+        rep = full_report(m)
+        assert rep.rho < event_statistic(m, atoms[-2], "psi") < rep.psi - 0.1
+        scan = measures._exact_scan
+
+        def corrupted(entries, kinds=measures.KINDS, witnesses=False):
+            values, wit = scan(entries, kinds, witnesses)
+            if "psi" in wit:
+                wit["psi"] = atoms[-2]
+            return values, wit
+
+        monkeypatch.setattr(measures, "_exact_scan", corrupted)
+        with pytest.raises(InvariantViolation, match="psi witness"):
+            full_report(m)
+        with pytest.raises(InvariantViolation, match="psi witness"):
+            event_measure(m, "psi")
 
     def test_heuristic_mode_flagged(self):
         m = random_joint(3, 3, seed=20)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from grid_oracle import grid_scan
 
 from depmeasures import (
+    InvariantViolation,
     OutOfRange,
     SearchConfig,
     event_measure,
@@ -19,6 +21,7 @@ from depmeasures import (
 )
 from depmeasures.cli import run
 from depmeasures.joint_pmf import RANDOM_STYLES, from_matrix
+from depmeasures import sharpness_search
 from depmeasures.measures import _heuristic_scan
 from depmeasures.sharpness_search import _exact_tau, _threshold_family_bound
 
@@ -165,6 +168,20 @@ class TestTensorGap:
             for _ in range(3):
                 m = random_joint(*shape, seed=int(rng.integers(1e9)))
                 assert tensor_gap_lower_bound(m, 3) >= tensor_gap_lower_bound(m, 2)
+
+    def test_best_state_above_the_tau_cap_raises(self, monkeypatch):
+        # both objectives share one driver, so the tensor gap's best state
+        # is checked against the tau cap like the rho search's
+        exact_report = sharpness_search.full_report
+
+        def above_cap(M, mode="auto"):
+            rep = exact_report(M, mode=mode)
+            return dataclasses.replace(rep, tau=rep.tau + 0.5, psi=rep.psi + 0.5)
+
+        monkeypatch.setattr(sharpness_search, "full_report", above_cap)
+        cfg = SearchConfig(shape=(2, 2), tau_cap=0.3, budget=5, restarts=1, seed=1)
+        with pytest.raises(InvariantViolation, match="infeasible"):
+            search_tensor_gap(cfg)
 
 
 class TestTensorGapCli:

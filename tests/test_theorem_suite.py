@@ -141,24 +141,6 @@ class TestCsakiFischer:
             worst = max(worst, abs(results[0].slack))
         assert worst <= 1e-8
 
-    def test_deviation_monotone_in_rho_tolerance(self):
-        rng = np.random.default_rng(55)
-        pairs = [
-            (
-                random_joint(3, 3, seed=int(rng.integers(1e9))),
-                random_joint(3, 3, seed=int(rng.integers(1e9))),
-            )
-            for _ in range(10)
-        ]
-        dev_loose = max(
-            abs(check_csaki_fischer(m1, m2, rho_tol=1e-8)[0].slack) for m1, m2 in pairs
-        )
-        dev_tight = max(
-            abs(check_csaki_fischer(m1, m2, rho_tol=1e-12)[0].slack) for m1, m2 in pairs
-        )
-        assert dev_tight <= dev_loose + 1e-15
-        assert dev_tight <= 1e-8
-
 
 class TestCousin:
     def test_independent_second_factor_squeezes(self):
