@@ -38,11 +38,10 @@ from .errors import (
     TooFewSamples,
     ZeroVariance,
 )
-from .joint_pmf import JointPMF, from_jsonable, from_matrix, kron, unwrap_manifest
+from .joint_pmf import STATE_CAP, JointPMF, from_jsonable, from_matrix, kron, unwrap_manifest
 from .measures import event_measure, rho as _rho
 from .theorem_suite import BOUND_TOL, CheckResult, _result
 
-STATE_CAP = 10**7
 LATTICE_MAX_DENOMINATOR = 10**4
 MC_MIN_SAMPLES = 1000
 MC_STREAM_SIZE = 1 << 16

@@ -33,7 +33,7 @@ class IndexOutOfRange(DependenceError):
 
 
 class SizeOverflow(DependenceError):
-    """A product construction would exceed the configured entry cap."""
+    """A product construction would exceed the entry cap (``STATE_CAP``)."""
 
 
 class OutOfRange(DependenceError):

@@ -31,7 +31,7 @@ from .errors import (
 
 NORMALIZATION_TOL = 1e-9
 NEGATIVE_CLAMP = -1e-12
-DEFAULT_KRON_ENTRY_CAP = 10**8
+STATE_CAP = 10**7
 
 RANDOM_STYLES = ("dense", "sparse", "near_independent")
 
@@ -203,7 +203,7 @@ def event_prob(M: JointPMF, e: EventPair) -> tuple[float, float, float]:
     return pa, pb, pab
 
 
-def kron(M1: JointPMF, M2: JointPMF, entry_cap: int = DEFAULT_KRON_ENTRY_CAP) -> JointPMF:
+def kron(M1: JointPMF, M2: JointPMF) -> JointPMF:
     """Joint matrix of the independent join of two pairs.
 
     When the two pairs live on independent components of a product space,
@@ -216,8 +216,8 @@ def kron(M1: JointPMF, M2: JointPMF, entry_cap: int = DEFAULT_KRON_ENTRY_CAP) ->
     total 1, so the join loads wherever its factors do.
     """
     n_entries = M1.n_rows * M2.n_rows * M1.n_cols * M2.n_cols
-    if n_entries > entry_cap:
-        raise SizeOverflow(f"product would have {n_entries} entries > cap {entry_cap}")
+    if n_entries > STATE_CAP:
+        raise SizeOverflow(f"product would have {n_entries} entries > cap {STATE_CAP}")
     arr = np.kron(M1.entries, M2.entries)
     normalize = abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL
     row_labels = col_labels = None
@@ -228,13 +228,13 @@ def kron(M1: JointPMF, M2: JointPMF, entry_cap: int = DEFAULT_KRON_ENTRY_CAP) ->
     return from_matrix(arr, normalize=normalize, row_labels=row_labels, col_labels=col_labels)
 
 
-def kron_all(Ms: Sequence[JointPMF], entry_cap: int = DEFAULT_KRON_ENTRY_CAP) -> JointPMF:
+def kron_all(Ms: Sequence[JointPMF]) -> JointPMF:
     """Left-to-right iterated independent join."""
     if not Ms:
         raise NonRectangular("need at least one factor")
     out = Ms[0]
     for M in Ms[1:]:
-        out = kron(out, M, entry_cap=entry_cap)
+        out = kron(out, M)
     return out
 
 

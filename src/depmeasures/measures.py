@@ -20,11 +20,11 @@ Exact lambda and tau enumerate one representative per complement class
 against a fixed S the best T is a threshold set of the other side's atoms,
 so each class costs one sort and a few cumulative sums.  Exact mode runs
 up to the 14 x 14 cap: :func:`within_exact_cap` is the one rule for it,
-which ``event_measure`` and ``full_report`` apply through one gate and the
-fuzz harness and the search reuse.  Beyond the cap an alternating
-threshold-ascent heuristic on the same split scoring returns certified
-lower bounds.  All three statistics, of one pair or of many splits, come
-from one elementwise kernel, ``_statistic``.
+which every public way into the exact scan applies through one gate and
+the fuzz harness and the search reuse.  Beyond the cap an alternating
+threshold-ascent heuristic returns certified lower bounds, handing the
+split kernel all its restarts at once.  All three statistics, of one pair
+or of many splits, come from one elementwise kernel, ``_statistic``.
 
 Witness rule: in both modes the statistic of each witness pair, by
 :func:`event_statistic`, must agree with the scan's or the heuristic's raw
@@ -285,8 +285,8 @@ def _attaining(kind: str, pa, pb) -> tuple:
 # Complement classes scored per batch; batches this small also keep the
 # mask matmul off the BLAS thread pool, which costs more than it saves.
 _BATCH_CLASSES = 2048
-# Value-only scans enumerating at most this many atoms (127 classes) and
-# splitting at most the default cap compare atoms pairwise, not by sorting:
+# Value-only scans enumerating at most this many atoms (127 classes; the
+# split side is within the cap) compare atoms pairwise, not by sorting:
 # faster there on a 2-core x86 VM, even at 9 atoms and slower from 10 on.
 _LEAN_SIDE = 8
 # Statistics within this fraction of the maximum tie with it; witnesses are
@@ -376,7 +376,7 @@ def _exact_scan(
     bools, masks, pc = _class_masks(p.shape[0])
     n_classes = bools.shape[0] if split_kinds and pos.size >= 2 else 0
     sub = p[:, pos]
-    rank = witnesses or p.shape[0] > _LEAN_SIDE or pos.size > EXACT_CAP_COLS
+    rank = witnesses or p.shape[0] > _LEAN_SIDE
     for lo in range(0, n_classes, _BATCH_CLASSES):
         w = masks[:, lo : lo + _BATCH_CLASSES] @ sub
         order, num, pt, ptc, p_s, p_sc = _splits(w, marg[pos], rank)
@@ -444,73 +444,71 @@ def _batch_witness(
 # ---------------------------------------------------------------------------
 
 
-def _best_threshold_side(kind: str, w: np.ndarray, marg: np.ndarray) -> tuple[float, np.ndarray]:
-    """Best threshold set on one side against a fixed event on the other.
+def _best_threshold_sides(
+    kind: str, fixed: np.ndarray, side: np.ndarray, marg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each restart's best threshold set T against its fixed event F_b.
 
-    ``w[0, j]`` and ``w[1, j]`` are P(fixed event and atom j) and P(its
-    complement and atom j).  Scores every split of :func:`_splits` against
-    the fixed event itself, not its class, and returns the better of T and
-    T^c (T on a tie).
+    ``fixed[b]`` masks F_b over the rows of ``side``; its columns, of masses
+    ``marg`` (two or more positive), are split as in :func:`_splits` and
+    scored against F_b, not its class.  Returns each restart's statistic at
+    its first best split, and T, or T^c where psi or lambda prefer it.
     """
+    # (B, 2, n) @ (n, m) makes one (2, n) @ (n, m) BLAS call per restart, so
+    # batching leaves every restart's masses bit for bit unchanged.
+    w = np.stack((fixed, ~fixed), axis=1).astype(np.float64) @ side
     pos = np.nonzero(marg > 0.0)[0]
-    mask = np.zeros(marg.size, dtype=bool)
-    if pos.size < 2:
-        return 0.0, mask
-    order, num, pt, ptc, p_s, p_sc = _splits(w[:, None, pos], marg[pos])
-    stat = _split_stat(kind, num, pt, ptc, p_s, p_sc, fixed=True)[0]
-    k = int(np.argmax(stat))
-    ranked = pos[order[0]]
-    if kind != "tau" and pt[0, k] > ptc[0, k]:
-        mask[ranked[k + 1 :]] = True
-    else:
-        mask[ranked[: k + 1]] = True
-    return float(stat[k]), mask
+    order, num, pt, ptc, p_s, p_sc = _splits(w[:, :, pos].transpose(1, 0, 2), marg[pos])
+    stat = _split_stat(kind, num, pt, ptc, p_s, p_sc, fixed=True)
+    k = np.argmax(stat, axis=1)[:, None]
+    flip = np.take_along_axis(pt > ptc, k, axis=1) & (kind != "tau")
+    mask = np.zeros((len(fixed), marg.size), dtype=bool)
+    mask[:, pos] = (np.argsort(order, axis=1) <= k) ^ flip
+    return np.take_along_axis(stat, k, axis=1)[:, 0], mask
 
 
 def _heuristic_scan(entries: np.ndarray, kind: str) -> tuple[float, EventPair]:
-    n_rows, n_cols = entries.shape
-    if n_rows < 2 or n_cols < 2:
-        return 0.0, EventPair()
+    """Alternating threshold ascent: a certified lower bound and its witness.
+
+    Restarts fix a row event S: 16 random halves seeded by ``_HEURISTIC_SEED``
+    (never empty or full), then the 4 heaviest single rows.  All ascend in
+    lockstep, one batch per half-round: the best column threshold T against
+    S, then the best row threshold S against T.  A restart's values count
+    until a round gains at most 1e-15 on the last, or for
+    ``_HEURISTIC_MAX_ROUNDS`` rounds.  The first maximum in (restart, round,
+    half-round) order wins, else 0 and ``EventPair()``.
+    """
     r = entries.sum(axis=1)
     c = entries.sum(axis=0)
+    if np.count_nonzero(r > 0.0) < 2 or np.count_nonzero(c > 0.0) < 2:
+        return 0.0, EventPair()
     rng = np.random.default_rng(_HEURISTIC_SEED)
-
-    seeds: list[np.ndarray] = []
-    for _ in range(_HEURISTIC_RANDOM_RESTARTS):
-        mask = rng.random(n_rows) < 0.5
+    atoms = np.argsort(-r, kind="stable")[:_HEURISTIC_ATOM_RESTARTS]
+    s = np.zeros((_HEURISTIC_RANDOM_RESTARTS + atoms.size, r.size), dtype=bool)
+    s[_HEURISTIC_RANDOM_RESTARTS + np.arange(atoms.size), atoms] = True
+    for mask in s[:_HEURISTIC_RANDOM_RESTARTS]:
+        mask[:] = rng.random(r.size) < 0.5
         if not mask.any():
-            mask[int(rng.integers(n_rows))] = True
+            mask[int(rng.integers(r.size))] = True
         if mask.all():
-            mask[int(rng.integers(n_rows))] = False
-        seeds.append(mask)
-    for i in np.argsort(-r, kind="stable")[:_HEURISTIC_ATOM_RESTARTS]:
-        mask = np.zeros(n_rows, dtype=bool)
-        mask[int(i)] = True
-        seeds.append(mask)
+            mask[int(rng.integers(r.size))] = False
 
-    best_val = 0.0
-    best_pair = EventPair()
-    for s_mask in seeds:
-        local = 0.0
-        for _ in range(_HEURISTIC_MAX_ROUNDS):
-            val_t, t_mask = _best_threshold_side(
-                kind, np.stack((s_mask, ~s_mask)).astype(np.float64) @ entries, c
-            )
-            if val_t > best_val:
-                best_val = val_t
-                best_pair = EventPair.of(np.nonzero(s_mask)[0], np.nonzero(t_mask)[0])
-            val_s, s_new = _best_threshold_side(
-                kind, np.stack((t_mask, ~t_mask)).astype(np.float64) @ entries.T, r
-            )
-            if val_s > best_val:
-                best_val = val_s
-                best_pair = EventPair.of(np.nonzero(s_new)[0], np.nonzero(t_mask)[0])
-            s_mask = s_new
-            round_best = max(val_t, val_s)
-            if round_best <= local + 1e-15:
-                break
-            local = round_best
-    return best_val, best_pair
+    best, local, live = np.zeros(len(s)), np.zeros(len(s)), np.ones(len(s), dtype=bool)
+    best_s, best_t = np.zeros_like(s), np.zeros((len(s), c.size), dtype=bool)
+    for _ in range(_HEURISTIC_MAX_ROUNDS):
+        val_t, t = _best_threshold_sides(kind, s, entries, c)
+        val_s, s_new = _best_threshold_sides(kind, t, entries.T, r)
+        for val, s_at in ((val_t, s), (val_s, s_new)):
+            gain = live & (val > best)
+            best[gain], best_s[gain], best_t[gain] = val[gain], s_at[gain], t[gain]
+        s = s_new
+        round_best = np.maximum(val_t, val_s)
+        live &= round_best > local + 1e-15
+        local = round_best
+        if not live.any():
+            break
+    b = int(np.argmax(best))
+    return float(best[b]), EventPair.of(np.nonzero(best_s[b])[0], np.nonzero(best_t[b])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +567,8 @@ def _witnessed(
             values[k], wit[k] = _heuristic_scan(M.entries, k)
     for k in kinds:
         quoted = event_statistic(M, wit[k], k)
+        if not (math.isfinite(quoted) and math.isfinite(values[k])):
+            raise OutOfRange(f"{k} is not finite on this matrix: {values[k]!r}")
         if abs(quoted - values[k]) > WITNESS_TOL * max(1.0, abs(quoted)):
             raise InvariantViolation(
                 f"{k} witness reproduces {quoted!r}, the {used} scan found {values[k]!r}"
@@ -580,6 +580,7 @@ def _witnessed(
 
 def exact_event_values(M: JointPMF) -> dict[str, float]:
     """All three exact suprema in one enumeration pass (no witnesses)."""
+    _use_exact(M, "exact")
     values, _ = _exact_scan(M.entries)
     return values
 
@@ -589,7 +590,7 @@ def exact_event_values(M: JointPMF) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def rho(M: JointPMF, tol: float = DEFAULT_RHO_TOL) -> RhoResult:
+def rho(M: JointPMF) -> RhoResult:
     """Maximal correlation via the normalized matrix's second singular value.
 
     Zero-mass rows/columns are deleted; Q = p / sqrt(outer(r, c)) has top
@@ -603,8 +604,6 @@ def rho(M: JointPMF, tol: float = DEFAULT_RHO_TOL) -> RhoResult:
     value repeats, the witness comes from the part of the top space
     orthogonal to sqrt(r) (see :func:`_centered_top_pair`).
     """
-    if not tol > 0.0:
-        raise OutOfRange(f"tol must be positive, got {tol!r}")
     entries = M.entries
     r = entries.sum(axis=1)
     c = entries.sum(axis=0)
@@ -646,8 +645,8 @@ def rho(M: JointPMF, tol: float = DEFAULT_RHO_TOL) -> RhoResult:
         float(np.linalg.norm(q @ v2 - sigma2 * u2)),
         float(np.linalg.norm(q.T @ u2 - sigma2 * v2)),
     )
-    if residual > tol:
-        raise ConvergenceFailure(f"singular-pair residual {residual} exceeds tol {tol}")
+    if residual > DEFAULT_RHO_TOL:
+        raise ConvergenceFailure(f"singular-pair residual {residual} exceeds {DEFAULT_RHO_TOL}")
     f[rpos] = u2 / sqrt_r
     g[cpos] = v2 / sqrt_c
     value = min(max(sigma2, 0.0), 1.0)

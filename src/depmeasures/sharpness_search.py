@@ -37,6 +37,7 @@ from .measures import (
     DependenceReport,
     _exact_scan,
     _heuristic_scan,
+    _use_exact,
     full_report,
     rho as _rho,
     within_exact_cap,
@@ -340,10 +341,11 @@ def tensor_gap_lower_bound(M: JointPMF, n_max: int = 2) -> float:
     alternating heuristic on the join.  Every ``n >= 3`` adds the
     threshold events of that join power.  Every candidate evaluates
     actual events (the single-copy embedding gives gap 0), so the result
-    never exceeds the true gap.
+    never exceeds the true gap.  M must be within the exact cap.
     """
     if n_max < 2:
         raise OutOfRange(f"n_max must be >= 2, got {n_max}")
+    _use_exact(M, "exact")
     tau_m = _exact_tau(M.entries)
     joined = kron(M, M)
     if within_exact_cap(*joined.shape):

@@ -73,6 +73,14 @@ class TestBasicCommands:
         assert run(["measures", "--in", str(f), "--normalize", "--out",
                     str(tmp_path / "r.json")]) == 0
 
+    def test_overflowing_measure_exits_2(self, tmp_path):
+        # psi of the 2e-310 atom overflows a float: exit 2, not Infinity
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"matrix": [[2e-310, 0, 0, 0], [0, 0, 0, 1]]}))
+        out = tmp_path / "r.json"
+        assert run(["measures", "--in", str(f), "--normalize", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["measures", "--in", str(tmp_path / "nope.json")]) == 2
 

@@ -152,9 +152,11 @@ class TestKron:
         assert np.array_equal(kron(u, u).entries, np.kron(u.entries, u.entries))
 
     def test_size_overflow(self):
-        m = random_joint(10, 10, seed=8)
+        # 3163^2 = 10,004,569 entries, just past STATE_CAP: raised before
+        # the product is allocated
+        m = from_matrix(np.full((1, 3163), 1.0 / 3163))
         with pytest.raises(SizeOverflow):
-            kron(m, m, entry_cap=100)
+            kron(m, m)
 
     def test_labels_combined(self):
         a = from_matrix([[1.0]], row_labels=["x"], col_labels=["u"])

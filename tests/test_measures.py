@@ -192,6 +192,8 @@ class TestEventMeasure:
         m = random_joint(15, 2, seed=8)
         with pytest.raises(TooLargeForExact):
             event_measure(m, "tau", mode="exact")
+        with pytest.raises(TooLargeForExact):
+            exact_event_values(m)
         assert event_measure(m, "tau", mode="auto").mode == "heuristic"
 
     def test_heuristic_sound_and_flagged(self):
@@ -289,7 +291,7 @@ class TestRho:
         rng = np.random.default_rng(13)
         for _ in range(20):
             m = random_joint(5, 3, seed=int(rng.integers(1e9)), style="sparse")
-            res = rho(m, tol=1e-10)
+            res = rho(m)
             f, g = res.witness
             if res.value > 0:
                 assert abs(score_correlation(m, f, g)) == pytest.approx(
@@ -353,13 +355,10 @@ class TestRho:
                 1.0, abs=1e-9
             )
 
-    def test_tol_validated(self):
-        with pytest.raises(OutOfRange):
-            rho(yy(0.5), tol=0.0)
-
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(measures, "DEFAULT_RHO_TOL", 1e-18)
         with pytest.raises(ConvergenceFailure):
-            rho(random_joint(4, 4, seed=14), tol=1e-18)
+            rho(random_joint(4, 4, seed=14))
 
 
 class TestFullReport:
@@ -494,6 +493,16 @@ class TestFullReport:
             full_report(m)
         with pytest.raises(InvariantViolation, match="psi witness"):
             event_measure(m, "psi")
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_overflowing_psi_raises(self, mode):
+        # psi = 1/2e-310 = 5e309 overflows a float; no report carries inf
+        m = from_matrix([[2e-310, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(OutOfRange, match="not finite"):
+            full_report(m, mode=mode)
+        with pytest.raises(OutOfRange, match="not finite"):
+            event_measure(m, "psi", mode=mode)
+        assert event_measure(m, "tau", mode=mode).value == pytest.approx(1.0, abs=1e-12)
 
     def test_heuristic_mode_flagged(self):
         m = random_joint(3, 3, seed=20)

@@ -10,6 +10,7 @@ from depmeasures import (
     InvariantViolation,
     OutOfRange,
     SearchConfig,
+    TooLargeForExact,
     event_measure,
     kron,
     random_joint,
@@ -161,6 +162,10 @@ class TestTensorGap:
         heur, _ = _heuristic_scan(kron(m, m).entries, "tau")
         expected = max(tau_m, _threshold_family_bound(m, 2), heur) - tau_m
         assert tensor_gap_lower_bound(m, 2) == expected
+
+    def test_base_beyond_the_exact_cap_raises(self):
+        with pytest.raises(TooLargeForExact):
+            tensor_gap_lower_bound(random_joint(15, 2, seed=1))
 
     def test_more_join_powers_never_lower_the_gap(self):
         rng = np.random.default_rng(12)
