@@ -14,6 +14,7 @@ convention).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -119,6 +120,36 @@ def _as_label_tuple(labels: Sequence[str] | None, n: int, side: str) -> tuple[st
     return labels
 
 
+def _validated(arr: np.ndarray, normalize: bool = False) -> np.ndarray:
+    """The checks of :func:`from_matrix` on a 2-d float64 array.
+
+    Returns a new array with tiny negatives clamped to 0 and, with
+    ``normalize``, divided by its total; raises as :func:`from_matrix`.
+    """
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise NonRectangular(f"matrix must be at least 1x1, got {arr.shape}")
+    # One reduction screens the common input: the minimum is NaN or
+    # negative whenever an entry is NaN, -inf or negative.
+    if not float(arr.min()) >= 0.0:
+        if not np.isfinite(arr).all():
+            raise NegativeEntry("entries must be finite")
+        if (arr < NEGATIVE_CLAMP).any():
+            worst = float(arr.min())
+            raise NegativeEntry(f"entry {worst} below tolerance {NEGATIVE_CLAMP}")
+    arr = np.maximum(arr, 0.0)
+
+    total = float(arr.sum())
+    if not math.isfinite(total) and not np.isfinite(arr).all():
+        raise NegativeEntry("entries must be finite")  # a +inf entry
+    if normalize:
+        if total <= 0.0:
+            raise ZeroTotal("cannot normalize: total mass is 0")
+        arr /= total  # in place: arr is the copy np.maximum made
+    elif abs(total - 1.0) > NORMALIZATION_TOL:
+        raise NotNormalized(f"entries sum to {total!r}, not 1 within {NORMALIZATION_TOL}")
+    return arr
+
+
 def from_matrix(
     rows: Sequence[Sequence[float]] | np.ndarray,
     normalize: bool = False,
@@ -147,23 +178,7 @@ def from_matrix(
             raise NonRectangular("matrix must have at least one column")
         arr = np.array(rows, dtype=np.float64)
 
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise NonRectangular(f"matrix must be at least 1x1, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NegativeEntry("entries must be finite")
-    if np.any(arr < NEGATIVE_CLAMP):
-        worst = float(arr.min())
-        raise NegativeEntry(f"entry {worst} below tolerance {NEGATIVE_CLAMP}")
-    arr = np.maximum(arr, 0.0)
-
-    total = float(arr.sum())
-    if normalize:
-        if total <= 0.0:
-            raise ZeroTotal("cannot normalize: total mass is 0")
-        arr = arr / total
-    elif abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(f"entries sum to {total!r}, not 1 within {NORMALIZATION_TOL}")
-
+    arr = _validated(arr, normalize)
     return JointPMF(
         entries=_freeze(arr),
         row_labels=_as_label_tuple(row_labels, arr.shape[0], "row"),
@@ -215,17 +230,23 @@ def kron(M1: JointPMF, M2: JointPMF) -> JointPMF:
     multiply to a total outside it; only then is the product rescaled to
     total 1, so the join loads wherever its factors do.
     """
-    n_entries = M1.n_rows * M2.n_rows * M1.n_cols * M2.n_cols
-    if n_entries > STATE_CAP:
-        raise SizeOverflow(f"product would have {n_entries} entries > cap {STATE_CAP}")
-    arr = np.kron(M1.entries, M2.entries)
-    normalize = abs(float(arr.sum()) - 1.0) > NORMALIZATION_TOL
+    arr = _kron_entries(M1.entries, M2.entries)
     row_labels = col_labels = None
     if M1.row_labels is not None and M2.row_labels is not None:
         row_labels = tuple(f"({a},{b})" for a in M1.row_labels for b in M2.row_labels)
     if M1.col_labels is not None and M2.col_labels is not None:
         col_labels = tuple(f"({a},{b})" for a in M1.col_labels for b in M2.col_labels)
-    return from_matrix(arr, normalize=normalize, row_labels=row_labels, col_labels=col_labels)
+    return from_matrix(arr, row_labels=row_labels, col_labels=col_labels)
+
+
+def _kron_entries(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entries of the join of two pmf arrays, rescaled as :func:`kron` says."""
+    n_entries = a.size * b.size
+    if n_entries > STATE_CAP:
+        raise SizeOverflow(f"product would have {n_entries} entries > cap {STATE_CAP}")
+    arr = np.kron(a, b)
+    total = float(arr.sum())
+    return arr / total if abs(total - 1.0) > NORMALIZATION_TOL else arr
 
 
 def kron_all(Ms: Sequence[JointPMF]) -> JointPMF:

@@ -475,8 +475,9 @@ def _heuristic_scan(entries: np.ndarray, kind: str) -> tuple[float, EventPair]:
     lockstep, one batch per half-round: the best column threshold T against
     S, then the best row threshold S against T.  A restart's values count
     until a round gains at most 1e-15 on the last, or for
-    ``_HEURISTIC_MAX_ROUNDS`` rounds.  The first maximum in (restart, round,
-    half-round) order wins, else 0 and ``EventPair()``.
+    ``_HEURISTIC_MAX_ROUNDS`` rounds; a finished restart leaves the batch.
+    The first maximum in (restart, round, half-round) order wins, else 0
+    and ``EventPair()``.
     """
     r = entries.sum(axis=1)
     c = entries.sum(axis=0)
@@ -493,19 +494,21 @@ def _heuristic_scan(entries: np.ndarray, kind: str) -> tuple[float, EventPair]:
         if mask.all():
             mask[int(rng.integers(r.size))] = False
 
-    best, local, live = np.zeros(len(s)), np.zeros(len(s)), np.ones(len(s), dtype=bool)
+    best, local, live = np.zeros(len(s)), np.zeros(len(s)), np.arange(len(s))
     best_s, best_t = np.zeros_like(s), np.zeros((len(s), c.size), dtype=bool)
     for _ in range(_HEURISTIC_MAX_ROUNDS):
+        # s holds the fixed events of the live restarts only
         val_t, t = _best_threshold_sides(kind, s, entries, c)
         val_s, s_new = _best_threshold_sides(kind, t, entries.T, r)
         for val, s_at in ((val_t, s), (val_s, s_new)):
-            gain = live & (val > best)
-            best[gain], best_s[gain], best_t[gain] = val[gain], s_at[gain], t[gain]
-        s = s_new
+            gain = val > best[live]
+            rows = live[gain]
+            best[rows], best_s[rows], best_t[rows] = val[gain], s_at[gain], t[gain]
         round_best = np.maximum(val_t, val_s)
-        live &= round_best > local + 1e-15
-        local = round_best
-        if not live.any():
+        going = round_best > local[live] + 1e-15
+        local[live] = round_best
+        live, s = live[going], s_new[going]
+        if not live.size:
             break
     b = int(np.argmax(best))
     return float(best[b]), EventPair.of(np.nonzero(best_s[b])[0], np.nonzero(best_t[b])[0])
@@ -567,8 +570,7 @@ def _witnessed(
             values[k], wit[k] = _heuristic_scan(M.entries, k)
     for k in kinds:
         quoted = event_statistic(M, wit[k], k)
-        if not (math.isfinite(quoted) and math.isfinite(values[k])):
-            raise OutOfRange(f"{k} is not finite on this matrix: {values[k]!r}")
+        _require_finite(k, values[k], quoted)
         if abs(quoted - values[k]) > WITNESS_TOL * max(1.0, abs(quoted)):
             raise InvariantViolation(
                 f"{k} witness reproduces {quoted!r}, the {used} scan found {values[k]!r}"
@@ -578,10 +580,21 @@ def _witnessed(
     return values, wit, used
 
 
+def _require_finite(kind: str, value: float, *more: float) -> None:
+    """The non-finite rule: a value that is not finite raises OutOfRange."""
+    if not all(math.isfinite(v) for v in (value, *more)):
+        raise OutOfRange(f"{kind} is not finite on this matrix: {value!r}")
+
+
 def exact_event_values(M: JointPMF) -> dict[str, float]:
-    """All three exact suprema in one enumeration pass (no witnesses)."""
+    """All three exact suprema in one enumeration pass (no witnesses).
+
+    A value that is not finite raises OutOfRange, as in reports.
+    """
     _use_exact(M, "exact")
     values, _ = _exact_scan(M.entries)
+    for k, v in values.items():
+        _require_finite(k, v)
     return values
 
 
@@ -604,21 +617,25 @@ def rho(M: JointPMF) -> RhoResult:
     value repeats, the witness comes from the part of the top space
     orthogonal to sqrt(r) (see :func:`_centered_top_pair`).
     """
-    entries = M.entries
+    return _spectral_rho(M.entries)
+
+
+def _spectral_rho(entries: np.ndarray) -> RhoResult:
+    """:func:`rho` of a validated joint pmf array, with every check."""
     r = entries.sum(axis=1)
     c = entries.sum(axis=0)
     rpos = r > 0.0
     cpos = c > 0.0
-    sub = entries[np.ix_(rpos, cpos)]
-    f = np.zeros(M.n_rows)
-    g = np.zeros(M.n_cols)
+    sub = entries[rpos][:, cpos]
+    f = np.zeros(r.size)
+    g = np.zeros(c.size)
 
     sqrt_r = np.sqrt(r[rpos])
     sqrt_c = np.sqrt(c[cpos])
     # Two-stage division: sqrt(outer(r, c)) can underflow to 0 for
     # near-degenerate atoms even though every quotient is bounded by 1.
     q = (sub / sqrt_r[:, None]) / sqrt_c[None, :]
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ConvergenceFailure("normalized matrix has non-finite entries")
     try:
         u_mat, s, vt = np.linalg.svd(q)

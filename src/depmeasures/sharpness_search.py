@@ -16,10 +16,22 @@ Two objectives:
     powers (``n_max >= 3``) raise it further.  The gap can never exceed
     psi(M) - tau(M).
 
-Proposals are Dirichlet perturbations centered at the current state;
-infeasible proposals (exact tau above the cap) are rejected outright so
-feasibility is unconditional, and acceptance is by annealed Metropolis on
-the objective.  Everything is deterministic given the config.
+Proposals are Dirichlet perturbations centered at the current state,
+validated once as a joint pmf where they are made.  Infeasible proposals
+(exact tau above the cap) are rejected outright so feasibility is
+unconditional, and acceptance is by annealed Metropolis on the objective.
+Everything is deterministic given the config.
+
+Feasibility is decided by the exact tau scan unless rho certifies it: tau
+<= rho, so rho + ``CHAIN_TOL`` <= cap proves tau <= cap (``CHAIN_TOL`` is
+the slack ``full_report`` allows in tau <= rho).  The rho search needs
+rho of every feasible proposal anyway, so each chain keeps one bit of its
+history: it tries the certificate first while the last rho it computed
+would have certified, and the tau scan first otherwise.  A chain far
+below the cap skips most tau scans; a chain at the cap, where most
+proposals are infeasible, pays what the scan alone costs.  Tau and rho
+are each computed at most once per proposal, and the accept hook gets
+the exact tau.
 """
 
 from __future__ import annotations
@@ -32,14 +44,15 @@ import numpy as np
 
 from .constructions import _indicator_corr, score_sum_law
 from .errors import InvariantViolation, OutOfRange
-from .joint_pmf import JointPMF, from_matrix, kron
+from .joint_pmf import JointPMF, _kron_entries, _validated, from_matrix
 from .measures import (
+    CHAIN_TOL,
     DependenceReport,
     _exact_scan,
     _heuristic_scan,
+    _spectral_rho,
     _use_exact,
     full_report,
-    rho as _rho,
     within_exact_cap,
 )
 from .theorem_suite import BOUND_TOL, tau_log_bound, tau_sqrt_log_bound
@@ -58,8 +71,9 @@ AcceptHook = Callable[[np.ndarray, float, float], None]
 class SearchConfig:
     """Shape, constraint, and budget of one search run.
 
-    Exact tau is evaluated at every proposal, so keep shapes small: 4x4 is
-    the recommended general default, 2x8 for the two-atom regime.
+    Exact tau decides feasibility wherever rho cannot certify it, so keep
+    shapes small: 4x4 is the recommended general default, 2x8 for the
+    two-atom regime.
     """
 
     shape: tuple[int, int] = (4, 4)
@@ -130,6 +144,46 @@ def _exact_tau(entries: np.ndarray) -> float:
     return values["tau"]
 
 
+class _ChainScores:
+    """Exact tau and rho of one chain's latest proposal, each computed once.
+
+    One slot, keyed on the array object, serves the feasibility test, the
+    objective and the accept hook of a proposal.  Every rho computed sets
+    the chain's order bit to whether it certifies tau <= cap (see the
+    module docstring); :meth:`feasible` tries the certificate first only
+    while the bit is set.
+    """
+
+    def __init__(self, tau_cap: float) -> None:
+        self.tau_cap = tau_cap
+        self._entries: np.ndarray | None = None
+        self._tau: float | None = None
+        self._rho: float | None = None
+        self._rho_first = False
+
+    def _slot(self, entries: np.ndarray) -> None:
+        if entries is not self._entries:
+            self._entries, self._tau, self._rho = entries, None, None
+
+    def tau(self, entries: np.ndarray) -> float:
+        self._slot(entries)
+        if self._tau is None:
+            self._tau = _exact_tau(entries)
+        return self._tau
+
+    def rho(self, entries: np.ndarray) -> float:
+        self._slot(entries)
+        if self._rho is None:
+            self._rho = _spectral_rho(entries).value
+            self._rho_first = self._rho + CHAIN_TOL <= self.tau_cap
+        return self._rho
+
+    def feasible(self, entries: np.ndarray) -> bool:
+        if self._rho_first and self.rho(entries) + CHAIN_TOL <= self.tau_cap:
+            return True
+        return self.tau(entries) <= self.tau_cap
+
+
 def _sign_pair_embedding(shape: tuple[int, int], t: float) -> np.ndarray:
     """Initial feasible state: a sign-product pair padded with zero atoms."""
     n_rows, n_cols = shape
@@ -142,18 +196,24 @@ def _sign_pair_embedding(shape: tuple[int, int], t: float) -> np.ndarray:
     return arr
 
 
-def _propose(rng: np.random.Generator, state: np.ndarray, scale: float) -> np.ndarray:
-    """Dirichlet step centered at the current state.
+def _concentration(state: np.ndarray, scale: float) -> np.ndarray:
+    """Dirichlet parameters of a step of size ``scale`` from ``state``."""
+    return np.maximum(state.ravel(), 1e-4) / max(scale, 1e-9)
 
-    Entries below a relative dust floor are zeroed and the matrix is
-    renormalized: Dirichlet tails produce subnormal masses that carry no
-    probability worth exploring but degrade the conditioning of the exact
-    feasibility check.
+
+def _propose(rng: np.random.Generator, alpha: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Dirichlet step centered at the current state, of parameters ``alpha``.
+
+    ``alpha`` comes from :func:`_concentration`.  Entries below a relative
+    dust floor are zeroed and the matrix is renormalized: Dirichlet tails
+    produce subnormal masses that carry no probability worth exploring but
+    degrade the conditioning of the exact feasibility check.  The proposal
+    is normalized and validated here, once, as ``from_matrix`` would; the
+    objectives read the array as it is.
     """
-    alpha = np.maximum(state.ravel(), 1e-4) / max(scale, 1e-9)
-    q = rng.dirichlet(alpha).reshape(state.shape)
+    q = rng.dirichlet(alpha).reshape(shape)
     q[q < 1e-9 * q.max()] = 0.0
-    return q / q.sum()
+    return _validated(q, normalize=True)
 
 
 def _anneal(
@@ -162,33 +222,35 @@ def _anneal(
     restart: int,
     init: np.ndarray,
     on_accept: AcceptHook | None,
+    scores: _ChainScores,
 ) -> tuple[float, np.ndarray, list[tuple[int, float]]]:
+    """One chain from the feasible ``init``; ``scores`` decides feasibility.
+
+    ``objective_fn`` runs once on ``init`` and once per feasible proposal.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,)))
-    state = init.copy()
-    state_tau = _exact_tau(state)
-    if state_tau > cfg.tau_cap:
-        raise InvariantViolation(f"initial state infeasible: tau={state_tau!r}")
+    state = init
     state_obj = objective_fn(state)
-    best_obj, best_state = state_obj, state.copy()
+    best_obj, best_state = state_obj, state
     trace = [(0, best_obj)]
     temperature = _TEMPERATURE_0
     scale = cfg.step_scale
+    alpha = _concentration(state, scale)  # changes only with the state or the scale
     streak = 0
     for k in range(cfg.budget):
-        proposal = _propose(rng, state, scale)
-        tau_p = _exact_tau(proposal)
-        if tau_p > cfg.tau_cap:
-            accepted = False
-        else:
+        proposal = _propose(rng, alpha, state.shape)
+        accepted = False
+        if scores.feasible(proposal):
             obj_p = objective_fn(proposal)
             delta = obj_p - state_obj
             accepted = delta >= 0.0 or rng.random() < math.exp(delta / temperature)
             if accepted:
                 state, state_obj = proposal, obj_p
+                alpha = _concentration(state, scale)
                 if on_accept is not None:
-                    on_accept(proposal, tau_p, obj_p)
+                    on_accept(proposal, scores.tau(proposal), obj_p)
                 if obj_p > best_obj:
-                    best_obj, best_state = obj_p, proposal.copy()
+                    best_obj, best_state = obj_p, proposal
                     trace.append((k + 1, best_obj))
         if accepted:
             streak = 0
@@ -196,6 +258,7 @@ def _anneal(
             streak += 1
             if streak >= _REJECT_STREAK:
                 scale = max(scale * _SCALE_SHRINK, _SCALE_FLOOR)
+                alpha = _concentration(state, scale)
                 streak = 0
         temperature *= _TEMPERATURE_DECAY
     trace.append((cfg.budget, best_obj))
@@ -203,9 +266,10 @@ def _anneal(
 
 
 def _feasible_init(cfg: SearchConfig) -> np.ndarray:
+    """The validated sign-pair start, its exact tau within the cap."""
     t = cfg.tau_cap
     for _ in range(4):
-        init = _sign_pair_embedding(cfg.shape, t)
+        init = _validated(_sign_pair_embedding(cfg.shape, t))
         if _exact_tau(init) <= cfg.tau_cap:
             return init
         t *= 1.0 - 1e-12  # shave float dust off the embedded level
@@ -214,22 +278,23 @@ def _feasible_init(cfg: SearchConfig) -> np.ndarray:
 
 def _search(
     cfg: SearchConfig,
-    objective: Callable[[np.ndarray], float],
+    objective_of: Callable[[_ChainScores], Callable[[np.ndarray], float]],
     bound_of: Callable[[DependenceReport], float],
     on_accept: AcceptHook | None,
 ) -> SearchResult:
-    """Anneal ``objective`` from the feasible start; check and report the best.
+    """Anneal the objective from the feasible start; check and report the best.
 
-    Each restart anneals from the same initial state; the best objective
-    wins (the earliest restart on a tie).  The winner's objective must not
-    exceed ``bound_of`` its exact report (a theorem) nor its tau the cap
-    (checked on every proposal), so a breach raises InvariantViolation.
+    Each restart anneals from the same initial state, with the objective
+    ``objective_of`` its own chain scores; the best objective wins (the
+    earliest restart on a tie).  The winner's objective must not exceed
+    ``bound_of`` its exact report (a theorem) nor its tau the cap (checked
+    on every proposal), so a breach raises InvariantViolation.
     """
     init = _feasible_init(cfg)
-    outcomes = [
-        _anneal(cfg, objective, restart, init, on_accept)
-        for restart in range(cfg.restarts)
-    ]
+    outcomes = []
+    for restart in range(cfg.restarts):
+        scores = _ChainScores(cfg.tau_cap)
+        outcomes.append(_anneal(cfg, objective_of(scores), restart, init, on_accept, scores))
     winner = max(range(cfg.restarts), key=lambda i: (outcomes[i][0], -i))
     best_obj, best_state, trace = outcomes[winner]
 
@@ -262,12 +327,8 @@ def search_max_rho(cfg: SearchConfig, on_accept: AcceptHook | None = None) -> Se
     every accepted state, which the caller can use to audit feasibility.
     The bound is the sharp theorem bound at tau_cap.
     """
-
-    def objective(entries: np.ndarray) -> float:
-        return _rho(from_matrix(entries)).value
-
     bound = tau_sqrt_log_bound(cfg.tau_cap) if cfg.two_atom else tau_log_bound(cfg.tau_cap)
-    return _search(cfg, objective, lambda _report: bound, on_accept)
+    return _search(cfg, lambda scores: scores.rho, lambda _report: bound, on_accept)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +336,7 @@ def search_max_rho(cfg: SearchConfig, on_accept: AcceptHook | None = None) -> Se
 # ---------------------------------------------------------------------------
 
 
-def _threshold_family_bound(M: JointPMF, n: int) -> float:
+def _threshold_family_bound(entries: np.ndarray, n: int) -> float:
     """Best |indicator corr| of summed-score threshold events on the n-fold join.
 
     The score functions are the maximal-correlation witnesses quantized to
@@ -284,7 +345,7 @@ def _threshold_family_bound(M: JointPMF, n: int) -> float:
     joint law of their sums comes from :func:`score_sum_law`.  The scale
     halves until the grid fits; returns 0 when it never does.
     """
-    res = _rho(M)
+    res = _spectral_rho(entries)
     if res.value <= 1e-8:
         # near-independent base: the family cannot beat float dust
         return 0.0
@@ -302,7 +363,7 @@ def _threshold_family_bound(M: JointPMF, n: int) -> float:
         return 0.0
     if a.max() == a.min() or b.max() == b.min():
         return 0.0
-    cur, _, _ = score_sum_law(M.entries, a, b, n)
+    cur, _, _ = score_sum_law(entries, a, b, n)
     # survival[i, j] = P(sum_a index >= i, sum_b index >= j); the running
     # cumsum only RANKS candidate threshold pairs -- far-tail cells carry
     # sequential-summation dust, so extreme tails are masked out and the
@@ -331,6 +392,11 @@ def _threshold_family_bound(M: JointPMF, n: int) -> float:
     return min(abs(_indicator_corr(q11, qa, qb)), 1.0)
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max < 2:
+        raise OutOfRange(f"n_max must be >= 2, got {n_max}")
+
+
 def tensor_gap_lower_bound(M: JointPMF, n_max: int = 2) -> float:
     """Certified lower bound on max over 2..n_max of tau(n-fold join) - tau(M).
 
@@ -343,21 +409,27 @@ def tensor_gap_lower_bound(M: JointPMF, n_max: int = 2) -> float:
     actual events (the single-copy embedding gives gap 0), so the result
     never exceeds the true gap.  M must be within the exact cap.
     """
-    if n_max < 2:
-        raise OutOfRange(f"n_max must be >= 2, got {n_max}")
+    _check_n_max(n_max)
     _use_exact(M, "exact")
-    tau_m = _exact_tau(M.entries)
-    joined = kron(M, M)
+    return _tensor_gap(M.entries, _exact_tau(M.entries), n_max)
+
+
+def _tensor_gap(entries: np.ndarray, tau_m: float, n_max: int) -> float:
+    """:func:`tensor_gap_lower_bound` of a validated array of exact tau ``tau_m``.
+
+    The join is formed by ``kron``'s own rule (``_kron_entries``).
+    """
+    joined = _kron_entries(entries, entries)
     if within_exact_cap(*joined.shape):
         # threshold events of the 2-fold join cannot beat its exact tau
-        lower = _exact_tau(joined.entries)
+        lower = _exact_tau(joined)
         first_family = 3
     else:
-        lower, _ = _heuristic_scan(joined.entries, "tau")
+        lower, _ = _heuristic_scan(joined, "tau")
         first_family = 2
     lower = max(lower, tau_m)  # embedding of a single copy
     for n in range(first_family, n_max + 1):
-        lower = max(lower, _threshold_family_bound(M, n))
+        lower = max(lower, _threshold_family_bound(entries, n))
     return lower - tau_m
 
 
@@ -369,10 +441,12 @@ def search_tensor_gap(
     The reported bound is psi(best) - tau(best): tau of any independent
     join of copies of M is at most max(tau, psi) = psi, so no state can
     have a larger gap.  The objective may be 0 (for example whenever
-    psi = tau, as in the sign-product family).
+    psi = tau, as in the sign-product family).  Each proposal's tau, from
+    its feasibility test, serves as tau(M).
     """
+    _check_n_max(n_max)
 
-    def objective(entries: np.ndarray) -> float:
-        return tensor_gap_lower_bound(from_matrix(entries), n_max=n_max)
+    def objective_of(scores: _ChainScores) -> Callable[[np.ndarray], float]:
+        return lambda entries: _tensor_gap(entries, scores.tau(entries), n_max)
 
-    return _search(cfg, objective, lambda report: report.psi - report.tau, on_accept)
+    return _search(cfg, objective_of, lambda report: report.psi - report.tau, on_accept)

@@ -8,7 +8,9 @@ bit: values are compared with ``==`` and witnesses must be equal.
 import numpy as np
 import pytest
 
+import heuristic_oracle
 from depmeasures import EventPair, from_matrix, kron, random_joint
+from depmeasures import measures
 from depmeasures.measures import KINDS, _heuristic_scan
 
 from heuristic_oracle import heuristic_scan
@@ -76,3 +78,25 @@ def test_tensor_gap_join():
     m = random_joint(4, 4, seed=11)
     value, _ = assert_same(kron(m, m).entries, "tau")
     assert value > 0.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_finished_restarts_leave_the_batch(kind, monkeypatch):
+    # the batch scores as many restart half-rounds as the sequential ascent
+    batched, sequential = [], []
+    sides = measures._best_threshold_sides
+    side = heuristic_oracle._best_threshold_side
+
+    def counted_sides(kind, fixed, *args):
+        batched.append(len(fixed))
+        return sides(kind, fixed, *args)
+
+    def counted_side(*args):
+        sequential.append(1)
+        return side(*args)
+
+    monkeypatch.setattr(measures, "_best_threshold_sides", counted_sides)
+    monkeypatch.setattr(heuristic_oracle, "_best_threshold_side", counted_side)
+    for m in stress_matrices(count=12, seed=1):
+        assert_same(m.entries, kind)
+    assert sum(batched) == len(sequential)

@@ -504,6 +504,11 @@ class TestFullReport:
             event_measure(m, "psi", mode=mode)
         assert event_measure(m, "tau", mode=mode).value == pytest.approx(1.0, abs=1e-12)
 
+    def test_overflowing_psi_raises_from_exact_values(self):
+        m = from_matrix([[2e-310, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(OutOfRange, match="psi is not finite"):
+            exact_event_values(m)
+
     def test_heuristic_mode_flagged(self):
         m = random_joint(3, 3, seed=20)
         rep = full_report(m, mode="heuristic")

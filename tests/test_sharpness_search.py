@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import search_oracle
 from grid_oracle import grid_scan
 
 from depmeasures import (
@@ -72,16 +73,21 @@ class TestSearchMaxRho:
         assert res.objective == pytest.approx(1.0, abs=1e-9)
 
     def test_feasibility_of_every_accepted_state(self):
-        cfg = SearchConfig(shape=(3, 3), tau_cap=0.25, budget=400, restarts=2, seed=3)
-        taus = []
+        # the hook gets the exact tau even where rho certified feasibility;
+        # the long 4x4 chain accepts most of its states on that certificate
+        for shape, tau_cap, budget, restarts in (((3, 3), 0.25, 400, 2), ((4, 4), 0.1, 2000, 1)):
+            cfg = SearchConfig(shape=shape, tau_cap=tau_cap, budget=budget,
+                               restarts=restarts, seed=3)
+            taus = []
 
-        def hook(state, tau, objective):
-            taus.append(tau)
+            def hook(state, tau, objective):
+                assert tau == _exact_tau(state)
+                taus.append(tau)
 
-        res = search_max_rho(cfg, on_accept=hook)
-        assert taus, "annealing never accepted a state"
-        assert max(taus) <= 0.25
-        assert res.best_report.tau <= 0.25 + 1e-9
+            res = search_max_rho(cfg, on_accept=hook)
+            assert taus, "annealing never accepted a state"
+            assert max(taus) <= tau_cap
+            assert res.best_report.tau <= tau_cap + 1e-9
 
     def test_objective_never_beats_bound(self):
         for seed in range(4):
@@ -160,7 +166,7 @@ class TestTensorGap:
         m = random_joint(*shape, seed=11)
         tau_m = _exact_tau(m.entries)
         heur, _ = _heuristic_scan(kron(m, m).entries, "tau")
-        expected = max(tau_m, _threshold_family_bound(m, 2), heur) - tau_m
+        expected = max(tau_m, _threshold_family_bound(m.entries, 2), heur) - tau_m
         assert tensor_gap_lower_bound(m, 2) == expected
 
     def test_base_beyond_the_exact_cap_raises(self):
@@ -187,6 +193,66 @@ class TestTensorGap:
         cfg = SearchConfig(shape=(2, 2), tau_cap=0.3, budget=5, restarts=1, seed=1)
         with pytest.raises(InvariantViolation, match="infeasible"):
             search_tensor_gap(cfg)
+
+
+def record_orders(monkeypatch):
+    """Whether each feasibility test of a search tried the rho certificate first."""
+    orders = []
+    feasible = sharpness_search._ChainScores.feasible
+
+    def recording(self, entries):
+        orders.append(self._rho_first)
+        return feasible(self, entries)
+
+    monkeypatch.setattr(sharpness_search._ChainScores, "feasible", recording)
+    return orders
+
+
+def switches(orders):
+    """Changes of the order bit: (tau first -> rho first, rho first -> tau first)."""
+    pairs = list(zip(orders, orders[1:]))
+    return pairs.count((False, True)), pairs.count((True, False))
+
+
+class TestAgainstSearchOracle:
+    """The certified feasibility test and the array-level objectives move no bit.
+
+    ``search_oracle`` scans tau on every proposal and scores it through
+    ``from_matrix`` and the public functions; the long chains switch
+    between both feasibility orders.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kwargs, long",
+        [
+            (dict(shape=(4, 4), tau_cap=0.1, budget=1500, restarts=1), True),
+            (dict(shape=(2, 8), tau_cap=0.1, two_atom=True, budget=1500, restarts=1), True),
+            (dict(shape=(3, 3), tau_cap=0.25, budget=400, restarts=2), False),
+            (dict(shape=(3, 3), tau_cap=1e-13, budget=300, restarts=1), False),
+        ],
+        ids=["4x4-cap0.1", "2x8-two-atom", "3x3-cap0.25", "3x3-cap1e-13"],
+    )
+    def test_max_rho(self, kwargs, long, seed, monkeypatch):
+        cfg = SearchConfig(seed=seed, **kwargs)
+        orders = record_orders(monkeypatch)
+        assert search_max_rho(cfg).to_jsonable() == search_oracle.search_max_rho(cfg).to_jsonable()
+        if long:
+            assert min(switches(orders)) >= 1
+        if cfg.tau_cap < 1e-9:  # rho + CHAIN_TOL can never certify
+            assert not any(orders)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape, tau_cap, n_max, budget",
+        [((3, 3), 1.0, 2, 300), ((3, 3), 0.3, 2, 300), ((3, 3), 1.0, 3, 40), ((4, 4), 1.0, 2, 30)],
+        ids=["3x3-nmax2", "3x3-cap0.3", "3x3-nmax3", "4x4-heuristic-join"],
+    )
+    def test_tensor_gap(self, shape, tau_cap, n_max, budget, seed):
+        cfg = SearchConfig(shape=shape, tau_cap=tau_cap, budget=budget, restarts=2, seed=seed)
+        assert search_tensor_gap(cfg, n_max).to_jsonable() == (
+            search_oracle.search_tensor_gap(cfg, n_max).to_jsonable()
+        )
 
 
 class TestTensorGapCli:
