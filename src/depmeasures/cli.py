@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from typing import Sequence
@@ -66,7 +67,9 @@ def _parse_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="depmeasures",
         description="Dependence measures of finite sigma-field pairs: "
@@ -112,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run all applicable checks on random instances")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--shape", type=_parse_shape, nargs="+", required=True)
-    p.add_argument("--style", nargs="+", default=["dense"],
+    p.add_argument("--style", nargs="+", default=("dense",),
                    choices=("dense", "sparse", "near_independent"))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--no-pair-checks", action="store_true")

@@ -164,8 +164,11 @@ def make_scored_base(
     base: JointPMF, g_raw: Sequence[float], h_raw: Sequence[float]
 ) -> ScoredBase:
     """Affinely normalize raw scores to mean 0, variance 1 and record r."""
-    g_raw = np.asarray(g_raw, dtype=np.float64)
-    h_raw = np.asarray(h_raw, dtype=np.float64)
+    try:
+        g_raw = np.asarray(g_raw, dtype=np.float64)
+        h_raw = np.asarray(h_raw, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRange(f"scores must be lists of real numbers: {exc}") from exc
     if g_raw.shape != (base.n_rows,) or h_raw.shape != (base.n_cols,):
         raise OutOfRange(
             f"score lengths {g_raw.shape}, {h_raw.shape} do not match shape "

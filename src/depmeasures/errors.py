@@ -13,11 +13,11 @@ class DependenceError(Exception):
 
 
 class NonRectangular(DependenceError):
-    """Input matrix rows have unequal lengths."""
+    """Input is not a matrix document of equal-length rows."""
 
 
 class NegativeEntry(DependenceError):
-    """A matrix entry is negative (below -1e-12) or not finite."""
+    """A matrix entry is negative (below -1e-12), not finite, or not a number."""
 
 
 class NotNormalized(DependenceError):

@@ -114,7 +114,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _as_label_tuple(labels: Sequence[str] | None, n: int, side: str) -> tuple[str, ...] | None:
     if labels is None:
         return None
-    labels = tuple(str(x) for x in labels)
+    try:
+        labels = tuple(str(x) for x in labels)
+    except TypeError as exc:
+        raise NonRectangular(f"{side} labels must be a list") from exc
     if len(labels) != n:
         raise NonRectangular(f"{side} labels: expected {n}, got {len(labels)}")
     return labels
@@ -162,21 +165,18 @@ def from_matrix(
     the entries are divided by their total (which must be positive);
     without it the total must already be 1 within 1e-9.  Entries are stored
     exactly as given (or exactly as scaled) -- there is no silent fixing.
+    Anything but a 2-d array or equal-length rows raises NonRectangular;
+    entries that are not real numbers raise NegativeEntry.
     """
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2:
-            raise NonRectangular(f"expected a 2-d array, got ndim={rows.ndim}")
+    try:
         arr = np.array(rows, dtype=np.float64)
-    else:
-        rows = list(rows)
-        if not rows:
-            raise NonRectangular("matrix must have at least one row")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise NonRectangular(f"ragged rows: widths {sorted(widths)}")
-        if widths == {0}:
-            raise NonRectangular("matrix must have at least one column")
-        arr = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        cells = np.array(rows, dtype=object)
+        if cells.ndim == 2 and not any(np.ndim(x) for x in cells.flat):
+            raise NegativeEntry(f"matrix entries must be real numbers: {exc}") from exc
+        raise NonRectangular("matrix must be equal-length rows of numbers") from exc
+    if arr.ndim != 2:
+        raise NonRectangular(f"expected a 2-d matrix, got shape {arr.shape}")
 
     arr = _validated(arr, normalize)
     return JointPMF(
@@ -355,6 +355,8 @@ def permute(M: JointPMF, row_order: Sequence[int] | None = None, col_order: Sequ
 
 def unwrap_manifest(obj: dict) -> dict:
     """The payload of a manifest-wrapped document ({"result": {...}}), else obj."""
+    if not isinstance(obj, dict):
+        raise NonRectangular(f"expected a JSON object, got {type(obj).__name__}")
     if "matrix" not in obj and isinstance(obj.get("result"), dict):
         return obj["result"]
     return obj

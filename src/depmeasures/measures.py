@@ -18,13 +18,16 @@ Exact psi has a closed form, max |p_ij/(r_i c_j) - 1| over single atoms.
 Exact lambda and tau enumerate one representative per complement class
 {S, S^c} of the smaller side only (|nu| is invariant under complements);
 against a fixed S the best T is a threshold set of the other side's atoms,
-so each class costs one sort and a few cumulative sums.  Exact mode runs
-up to the 14 x 14 cap: :func:`within_exact_cap` is the one rule for it,
-which every public way into the exact scan applies through one gate and
-the fuzz harness and the search reuse.  Beyond the cap an alternating
-threshold-ascent heuristic returns certified lower bounds, handing the
-split kernel all its restarts at once.  All three statistics, of one pair
-or of many splits, come from one elementwise kernel, ``_statistic``.
+so each class costs one sort and a few cumulative sums.  The scan keeps
+no state: ``_class_members`` builds each batch's members from their class
+numbers, so its memory is O(``_BATCH_CLASSES`` x atoms).  Exact mode runs
+up to ``EXACT_CAP`` (14) atoms on each side: :func:`within_exact_cap` is
+the one rule for it, which every public way into the exact scan applies
+through one gate and the fuzz harness and the search reuse.  Beyond the
+cap an alternating threshold-ascent heuristic returns certified lower
+bounds, handing the split kernel all its restarts at once.  All three
+statistics, of one pair or of many splits, come from one elementwise
+kernel, ``_statistic``.
 
 Witness rule: in both modes the statistic of each witness pair, by
 :func:`event_statistic`, must agree with the scan's or the heuristic's raw
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +55,7 @@ from .joint_pmf import EventPair, JointPMF
 KINDS = ("psi", "lambda", "tau")
 MODES = ("exact", "heuristic", "auto")
 
-EXACT_CAP_ROWS = 14
-EXACT_CAP_COLS = 14
+EXACT_CAP = 14
 DEFAULT_RHO_TOL = 1e-10
 # A second left singular vector whose overlap with sqrt(r) exceeds this
 # comes from a repeated top singular value, not from the second pair.
@@ -294,29 +295,17 @@ _LEAN_SIDE = 8
 _TIE_FRACTION = 1.0 - 1e-14
 
 
-@lru_cache(maxsize=32)
-def _class_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Representatives of nontrivial complement classes of an n-atom field.
+def _class_members(n: int, lo: int, hi: int) -> np.ndarray:
+    """Members of the complement classes numbered lo .. hi-1 of an n-atom field.
 
     Each pair {S, S^c} with S not in {empty, full} contains exactly one
-    member avoiding atom 0; those members, the subsets of {1..n-1} ordered
-    by bitmask value, are enumerated here.  Returns (bool matrix, float
-    masks of the members and of their complements stacked, popcounts).
-    Complement masks make complement masses direct sums: masses of
-    zero-mass events come out as exact 0.0 and the 0/0 convention applies
-    without tolerances.
+    member avoiding atom 0: class g's is the subset of {1..n-1} whose
+    bitmask (bit i for atom i) is 2(g + 1), so classes run in bitmask
+    order.  There are 2^(n-1) - 1 classes.  Returns a bool matrix, unpacked
+    from the bytes of the little-endian bitmasks.
     """
-    if n < 2:
-        empty = np.zeros((0, n), dtype=bool)
-        return empty, np.zeros((2, 0, n)), np.zeros(0, dtype=np.int64)
-    ints = np.arange(1, 1 << (n - 1), dtype=np.uint32)
-    bits = (ints[:, None] >> np.arange(n - 1, dtype=np.uint32)[None, :]) & 1
-    bools = np.concatenate([np.zeros((ints.size, 1), dtype=bool), bits.astype(bool)], axis=1)
-    pc = bits.sum(axis=1).astype(np.int64)
-    masks = np.stack((bools, ~bools)).astype(np.float64)
-    for arr in (bools, masks, pc):
-        arr.flags.writeable = False
-    return bools, masks, pc
+    codes = np.arange(2 * lo + 2, 2 * hi + 2, 2, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(codes, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _indices_tuple(mask: np.ndarray) -> tuple[int, ...]:
@@ -373,12 +362,15 @@ def _exact_scan(
     p = entries.T if transposed else entries
     marg = p.sum(axis=0)
     pos = np.nonzero(marg > 0.0)[0]
-    bools, masks, pc = _class_masks(p.shape[0])
-    n_classes = bools.shape[0] if split_kinds and pos.size >= 2 else 0
+    n = p.shape[0]
+    n_classes = (1 << (n - 1)) - 1 if split_kinds and pos.size >= 2 else 0
     sub = p[:, pos]
-    rank = witnesses or p.shape[0] > _LEAN_SIDE
+    rank = witnesses or n > _LEAN_SIDE
     for lo in range(0, n_classes, _BATCH_CLASSES):
-        w = masks[:, lo : lo + _BATCH_CLASSES] @ sub
+        members = _class_members(n, lo, min(lo + _BATCH_CLASSES, n_classes))
+        # Complement masks make complement masses direct sums: zero-mass
+        # events come out as exact 0.0 and the 0/0 rule needs no tolerance.
+        w = np.array((members, ~members), dtype=np.float64) @ sub
         order, num, pt, ptc, p_s, p_sc = _splits(w, marg[pos], rank)
         for k in split_kinds:
             stat = _split_stat(k, num, pt, ptc, p_s, p_sc)
@@ -387,7 +379,7 @@ def _exact_scan(
             floor = top * _TIE_FRACTION
             if witnesses and cmax > 0.0 and cmax >= floor:
                 found = _batch_witness(
-                    k, stat, floor, lo, bools, pc, p_s, p_sc, pos[order], pt, ptc, transposed
+                    k, stat, floor, members, p_s, p_sc, pos[order], pt, ptc, transposed
                 )
                 if k not in best or best[k][2] < floor or found[0] < best[k][0]:
                     best[k] = found
@@ -401,9 +393,8 @@ def _exact_scan(
 
 
 def _batch_witness(
-    kind: str, stat: np.ndarray, floor: float, offset: int, bools: np.ndarray,
-    pc: np.ndarray, p_s: np.ndarray, p_sc: np.ndarray, ranked: np.ndarray, pt: np.ndarray,
-    ptc: np.ndarray, transposed: bool,
+    kind: str, stat: np.ndarray, floor: float, members: np.ndarray, p_s: np.ndarray,
+    p_sc: np.ndarray, ranked: np.ndarray, pt: np.ndarray, ptc: np.ndarray, transposed: bool,
 ) -> tuple[tuple, EventPair, float]:
     """(key, pair, cell statistic) of the minimal-key cell with ``stat >= floor``."""
 
@@ -412,8 +403,8 @@ def _batch_witness(
         return np.where(take_a & take_b, np.minimum(na, nb), np.where(take_a, na, nb))
 
     b, k = np.nonzero(stat >= floor)
-    g = b + offset
-    size_s = min_size(pc[g], bools.shape[1] - pc[g], p_s[b], p_sc[b])
+    pc = members[b].sum(axis=1)
+    size_s = min_size(pc, members.shape[1] - pc, p_s[b], p_sc[b])
     size_t = min_size(k + 1, ranked.shape[1] - 1 - k, pt[b, k], ptc[b, k])
     size_rows, size_cols = (size_t, size_s) if transposed else (size_s, size_t)
     keep = size_rows == size_rows.min()
@@ -421,7 +412,7 @@ def _batch_witness(
 
     best: tuple[tuple, EventPair, float] | None = None
     for bi, ki in zip(b[keep].tolist(), k[keep].tolist()):
-        mask = bools[bi + offset]
+        mask = members[bi]
         s_sides = (_indices_tuple(mask), _indices_tuple(~mask))
         t_sides = (
             tuple(sorted(ranked[bi, : ki + 1].tolist())),
@@ -521,7 +512,7 @@ def _heuristic_scan(entries: np.ndarray, kind: str) -> tuple[float, EventPair]:
 
 def within_exact_cap(n_rows: int, n_cols: int) -> bool:
     """Whether exact event enumeration is allowed at this shape."""
-    return n_rows <= EXACT_CAP_ROWS and n_cols <= EXACT_CAP_COLS
+    return n_rows <= EXACT_CAP and n_cols <= EXACT_CAP
 
 
 def _use_exact(M: JointPMF, mode: str) -> bool:
@@ -531,7 +522,7 @@ def _use_exact(M: JointPMF, mode: str) -> bool:
     within = within_exact_cap(M.n_rows, M.n_cols)
     if mode == "exact" and not within:
         raise TooLargeForExact(
-            f"shape {M.n_rows}x{M.n_cols} exceeds exact caps {EXACT_CAP_ROWS}x{EXACT_CAP_COLS}"
+            f"shape {M.n_rows}x{M.n_cols} exceeds exact caps {EXACT_CAP}x{EXACT_CAP}"
         )
     return within and mode != "heuristic"
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from depmeasures import random_joint, save_json
-from depmeasures.cli import run
+from depmeasures.cli import _build_parser, run
 
 from test_measures import isolated_atom_matrices
 
@@ -209,6 +209,49 @@ class TestTheorem6Cli:
         from depmeasures.constructions import STATE_CAP
 
         assert run(["lemma7", "--grid", str(STATE_CAP + 1)]) == 2
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_runs_in_one_process_keep_their_own_parameters(self, tmp_path):
+        base = ["fuzz", "--count", "4", "--shape", "2x2", "--seed", "5", "--no-pair-checks"]
+        sparse, dense = tmp_path / "sparse.json", tmp_path / "dense.json"
+        assert run(base + ["--style", "sparse", "--out", str(sparse)]) == 0
+        assert run(base + ["--out", str(dense)]) == 0
+        sparse_doc, dense_doc = read_doc(sparse), read_doc(dense)
+        assert sparse_doc["manifest"]["parameters"]["style"] == ["sparse"]
+        assert dense_doc["manifest"]["parameters"]["style"] == ["dense"]
+        assert {d["style"] for d in near_sharp_digests(sparse_doc)} == {"sparse"}
+        assert {d["style"] for d in near_sharp_digests(dense_doc)} == {"dense"}
+
+
+def near_sharp_digests(doc):
+    return [c["instance_digest"] for c in doc["result"]["near_sharp"]]
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        ('{"matrix": [[0.5, "x"]]}', ["measures", "--in"]),
+        ('{"matrix": 5}', ["measures", "--in"]),
+        ('{"matrix": [0.5, 0.5]}', ["measures", "--in"]),
+        ('{"matrix": [[0.5, [0.5]]]}', ["measures", "--in"]),
+        ("[1, 2]", ["measures", "--in"]),
+        ('{"matrix": [[0.5, 0], [0, 0.5]], "g": ["x", 1], "h": [-1, 1]}',
+         ["theorem6", "--n", "1", "--base"]),
+    ],
+    ids=["text-entry", "scalar-matrix", "flat-list", "nested-entry", "top-level-array",
+         "text-score"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, text, command):
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    out = tmp_path / "out.json"
+    assert run(command + [str(f), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExitCodes:

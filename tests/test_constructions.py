@@ -161,6 +161,12 @@ class TestScoredBase:
         assert r_m @ sb.g**2 == pytest.approx(1.0, abs=1e-12)
         assert c_m @ sb.h**2 == pytest.approx(1.0, abs=1e-12)
 
+    def test_non_numeric_scores_are_out_of_range(self):
+        with pytest.raises(OutOfRange, match="scores must be lists of real numbers"):
+            make_scored_base(yy_pair(0.5), ["x", 1.0], [-1.0, 1.0])
+        with pytest.raises(OutOfRange, match="scores must be lists of real numbers"):
+            make_scored_base(yy_pair(0.5), [-1.0, 1.0], [[-1.0], 1.0])
+
     def test_constant_scores_rejected(self):
         with pytest.raises(ZeroVariance):
             make_scored_base(yy_pair(0.2), [3.0, 3.0], [-1.0, 1.0])

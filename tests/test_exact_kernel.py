@@ -8,13 +8,15 @@ a tie of the grid's (event statistics within 1e-13 relative: both sides
 round) with a smaller tie-break key.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from depmeasures import EventPair, event_measure, event_statistic, from_matrix, kron, random_joint
-from depmeasures.measures import KINDS, _exact_scan
+from depmeasures.measures import _BATCH_CLASSES, KINDS, _class_members, _exact_scan
 
-from grid_oracle import grid_scan
+from grid_oracle import _class_masks, grid_scan
 from oracles import naive_event_measure
 
 REL = 1e-13
@@ -134,3 +136,27 @@ def test_pinned_tie_witnesses_for_every_kind():
     for kind in KINDS:
         assert event_measure(uniform(2, 2), kind, mode="exact").witness == EventPair.of((0,), (0,))
         assert event_measure(yy(0.5), kind, mode="exact").witness == EventPair.of((0,), (0,))
+
+
+@pytest.mark.parametrize("batch", [1, 3, _BATCH_CLASSES])
+def test_class_members_match_the_grid_oracle(batch):
+    for n in range(1, 13):
+        count = 2 ** (n - 1) - 1
+        parts = [_class_members(n, lo, min(lo + batch, count)) for lo in range(0, count, batch)]
+        got = np.concatenate(parts) if parts else np.zeros((0, n), dtype=bool)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, _class_masks(n)[0])
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_exact_scan_memory_stays_flat_past_the_cap(n):
+    # classes are built per batch, so the peak does not grow with the
+    # 2^(n-1) class count
+    m = random_joint(n, n, seed=41)
+    tracemalloc.start()
+    try:
+        _exact_scan(m.entries, KINDS, witnesses=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -78,6 +78,10 @@ class TestFromMatrix:
         with pytest.raises(NonRectangular):
             from_matrix([[1.0]], row_labels=["a", "b"])
 
+    def test_non_numeric_array_is_a_bad_entry(self):
+        with pytest.raises(NegativeEntry):
+            from_matrix(np.array([["0.5", "x"]]))
+
 
 class TestMarginals:
     def test_uniform(self):
@@ -262,6 +266,22 @@ class TestJson:
     def test_missing_matrix_key(self):
         with pytest.raises(NonRectangular):
             from_jsonable({"rows": []})
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ({"matrix": [[0.5, "x"]]}, NegativeEntry),
+            ({"matrix": 5}, NonRectangular),
+            ({"matrix": [0.5, 0.5]}, NonRectangular),
+            ({"matrix": [[0.5, [0.5]]]}, NonRectangular),
+            ({"matrix": [[[0.5]], [[0.5]]]}, NonRectangular),
+            ({"matrix": [[0.5, 0.5]], "row_labels": 5}, NonRectangular),
+            ([1, 2], NonRectangular),
+        ],
+    )
+    def test_malformed_document_names_its_problem(self, doc, error):
+        with pytest.raises(error):
+            from_jsonable(doc)
 
 
 @st.composite
