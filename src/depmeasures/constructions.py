@@ -16,6 +16,8 @@ Contents:
     scanner for the smallest n at which that correlation exceeds a target
     level.  The exact lattice path uses :func:`score_sum_law`, the n-fold
     joint law of integer score sums, which the tensor-gap search also uses;
+    it convolves on the sublattice that the positive-mass scores span and
+    returns the law on the full grid;
   * a grid profile of f(t) = t(1 - log t) - sin(pi t / 2), which is
     positive on (0, 1) with f(1) = f'(1) = 0 and a single inflection of
     f'' in the interior.
@@ -38,7 +40,15 @@ from .errors import (
     TooFewSamples,
     ZeroVariance,
 )
-from .joint_pmf import STATE_CAP, JointPMF, from_jsonable, from_matrix, kron, unwrap_manifest
+from .joint_pmf import (
+    STATE_CAP,
+    JointPMF,
+    from_jsonable,
+    from_matrix,
+    holds_bool_or_text,
+    kron,
+    unwrap_manifest,
+)
 from .measures import event_measure, rho as _rho
 from .theorem_suite import BOUND_TOL, CheckResult, _result
 
@@ -165,19 +175,21 @@ def make_scored_base(
 ) -> ScoredBase:
     """Affinely normalize raw scores to mean 0, variance 1 and record r."""
     try:
-        g_raw = np.asarray(g_raw, dtype=np.float64)
-        h_raw = np.asarray(h_raw, dtype=np.float64)
+        g_arr = np.asarray(g_raw, dtype=np.float64)
+        h_arr = np.asarray(h_raw, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise OutOfRange(f"scores must be lists of real numbers: {exc}") from exc
-    if g_raw.shape != (base.n_rows,) or h_raw.shape != (base.n_cols,):
+    if g_arr.shape != (base.n_rows,) or h_arr.shape != (base.n_cols,):
         raise OutOfRange(
-            f"score lengths {g_raw.shape}, {h_raw.shape} do not match shape "
+            f"score lengths {g_arr.shape}, {h_arr.shape} do not match shape "
             f"{base.n_rows}x{base.n_cols}"
         )
+    if holds_bool_or_text(g_raw) or holds_bool_or_text(h_raw):
+        raise OutOfRange("scores must be real numbers, not booleans or strings")
     r_m = base.entries.sum(axis=1)
     c_m = base.entries.sum(axis=0)
-    g = _normalize_scores(g_raw, r_m, "g")
-    h = _normalize_scores(h_raw, c_m, "h")
+    g = _normalize_scores(g_arr, r_m, "g")
+    h = _normalize_scores(h_arr, c_m, "h")
     r = float(g @ base.entries @ h)
     if not -1.0 - 1e-9 <= r <= 1.0 + 1e-9:
         raise InvariantViolation(f"score correlation {r!r} outside [-1, 1]")
@@ -248,23 +260,41 @@ def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> 
 
     ``a`` and ``b`` are integer scores of the row and column atoms of the
     mass matrix ``entries``.  Returns (law, lo_a, lo_b) with law[i, j] =
-    P(sum of a = lo_a + i, sum of b = lo_b + j), built by n-fold
-    convolution over the positive-mass cells in row-major order; the law
-    has (n * span(a) + 1) x (n * span(b) + 1) cells.
+    P(sum of a = lo_a + i, sum of b = lo_b + j); the law has
+    (n * span(a) + 1) x (n * span(b) + 1) cells.
+
+    On each side every sum lands on n * o + d * k, where o is the smallest
+    score of a positive-mass cell (shifted by the minimum score) and d the
+    gcd of the other such scores' distances from it.  So the n-fold
+    convolution over the positive-mass cells (row-major order) runs on
+    that sublattice and is scattered into the full grid.  The cells it
+    skips are exact zeros at every step, so the law is bit for bit the
+    one a convolution on the full grid gives.  d comes from positive-mass
+    cells only: a zero-mass atom may carry any score.
     """
     amin, bmin = int(a.min()), int(b.min())
-    span_a, span_b = int(a.max()) - amin, int(b.max()) - bmin
+    rows, cols = np.nonzero(entries > 0.0)
+    off_a, off_b = a[rows] - amin, b[cols] - bmin
+    o_a, o_b = int(off_a.min()), int(off_b.min())
+    d_a = math.gcd(*(int(x) for x in off_a - o_a)) or 1
+    d_b = math.gcd(*(int(x) for x in off_b - o_b)) or 1
     steps = [
-        (int(a[i]) - amin, int(b[j]) - bmin, float(entries[i, j]))
-        for i, j in zip(*np.nonzero(entries > 0.0))
+        ((int(x) - o_a) // d_a, (int(y) - o_b) // d_b, float(entries[i, j]))
+        for x, y, i, j in zip(off_a, off_b, rows, cols)
     ]
+    span_a, span_b = max(s[0] for s in steps), max(s[1] for s in steps)
     cur = np.ones((1, 1))
     for _ in range(n):
         new = np.zeros((cur.shape[0] + span_a, cur.shape[1] + span_b))
         for ia, jb, p in steps:
             new[ia : ia + cur.shape[0], jb : jb + cur.shape[1]] += p * cur
         cur = new
-    return cur, n * amin, n * bmin
+    law = np.zeros((n * (int(a.max()) - amin) + 1, n * (int(b.max()) - bmin) + 1))
+    law[
+        n * o_a : n * o_a + d_a * (cur.shape[0] - 1) + 1 : d_a,
+        n * o_b : n * o_b + d_b * (cur.shape[1] - 1) + 1 : d_b,
+    ] = cur
+    return law, n * amin, n * bmin
 
 
 def _exact_corr_lattice(sb: ScoredBase, n: int, scale: int) -> float:

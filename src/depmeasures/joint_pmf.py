@@ -13,6 +13,7 @@ convention).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -123,6 +124,21 @@ def _as_label_tuple(labels: Sequence[str] | None, n: int, side: str) -> tuple[st
     return labels
 
 
+def holds_bool_or_text(values: Iterable | np.ndarray) -> bool:
+    """True when ``values``, an array or a flat iterable of entries, holds a
+    boolean or a string.
+
+    A float64 cast turns both into numbers ("0.5" -> 0.5, true -> 1.0), so
+    callers check for them after the cast succeeds.  A numeric array costs
+    one dtype test, a list one pass over the types of its entries.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind != "O":
+            return values.dtype.kind not in "iuf"
+        values = values.flat
+    return any(issubclass(t, (bool, np.bool_, str, bytes)) for t in set(map(type, values)))
+
+
 def _validated(arr: np.ndarray, normalize: bool = False) -> np.ndarray:
     """The checks of :func:`from_matrix` on a 2-d float64 array.
 
@@ -166,7 +182,8 @@ def from_matrix(
     without it the total must already be 1 within 1e-9.  Entries are stored
     exactly as given (or exactly as scaled) -- there is no silent fixing.
     Anything but a 2-d array or equal-length rows raises NonRectangular;
-    entries that are not real numbers raise NegativeEntry.
+    entries that are not real numbers, booleans and strings included,
+    raise NegativeEntry.
     """
     try:
         arr = np.array(rows, dtype=np.float64)
@@ -177,6 +194,9 @@ def from_matrix(
         raise NonRectangular("matrix must be equal-length rows of numbers") from exc
     if arr.ndim != 2:
         raise NonRectangular(f"expected a 2-d matrix, got shape {arr.shape}")
+    entries = rows if isinstance(rows, np.ndarray) else itertools.chain.from_iterable(rows)
+    if holds_bool_or_text(entries):
+        raise NegativeEntry("matrix entries must be real numbers, not booleans or strings")
 
     arr = _validated(arr, normalize)
     return JointPMF(

@@ -241,9 +241,13 @@ def near_sharp_digests(doc):
         ("[1, 2]", ["measures", "--in"]),
         ('{"matrix": [[0.5, 0], [0, 0.5]], "g": ["x", 1], "h": [-1, 1]}',
          ["theorem6", "--n", "1", "--base"]),
+        ('{"matrix": [["0.5", "0.5"]]}', ["measures", "--in"]),
+        ('{"matrix": [[true, false]]}', ["measures", "--in"]),
+        ('{"matrix": [[0.5, 0], [0, 0.5]], "g": ["-1", "1"], "h": [-1, 1]}',
+         ["theorem6", "--n", "1", "--base"]),
     ],
     ids=["text-entry", "scalar-matrix", "flat-list", "nested-entry", "top-level-array",
-         "text-score"],
+         "text-score", "quoted-entry", "boolean-entry", "quoted-score"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, text, command):
     f = tmp_path / "in.json"

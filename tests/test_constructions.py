@@ -26,9 +26,13 @@ from depmeasures import (
     yy_pair,
 )
 
+import depmeasures.constructions as constructions
+import depmeasures.sharpness_search as sharpness_search
 from depmeasures.constructions import STATE_CAP, score_sum_law
+from depmeasures.sharpness_search import tensor_gap_lower_bound
 from depmeasures.theorem_suite import BOUND_TOL
 
+from lattice_oracle import full_grid_score_sum_law
 from oracles import sum_indicator_corr_bruteforce
 
 # Root of f'' on (0, 1), computed independently with mpmath findroot.
@@ -181,6 +185,15 @@ class TestScoredBase:
             sb = make_scored_base(base, res.witness[0], res.witness[1])
             assert abs(sb.r) == pytest.approx(res.value, abs=1e-8)
 
+    @pytest.mark.parametrize("g", [["-1", "1"], [True, False], np.array(["-1", "1"]), ("-1", 1.0)])
+    def test_text_or_bool_scores_rejected(self, g):
+        with pytest.raises(OutOfRange):
+            make_scored_base(yy_pair(0.5), g, [-1.0, 1.0])
+
+    def test_scalar_scores_rejected(self):
+        with pytest.raises(OutOfRange):
+            make_scored_base(yy_pair(0.5), 1.0, [-1.0, 1.0])
+
     def test_json_roundtrip(self):
         sb = pm_one_base(0.3)
         back = scored_base_from_jsonable(sb.to_jsonable())
@@ -279,6 +292,93 @@ class TestTheorem6Corr:
         sb = make_scored_base(base, res.witness[0], res.witness[1])
         est = theorem6_corr(sb, 64, method="auto", samples=5000, seed=9)
         assert est.method == "monte_carlo"
+
+
+def lattice_gcd(entries, scores, axis):
+    """gcd of the positive-mass atoms' distances from the smallest such score."""
+    kept = scores[entries.sum(axis=axis) > 0.0]
+    return math.gcd(*(int(x) for x in kept - kept.min()))
+
+
+def same_law(got, want):
+    law, lo_a, lo_b = got
+    ref, ref_a, ref_b = want
+    return law.shape == ref.shape and law.tobytes() == ref.tobytes() and (lo_a, lo_b) == (ref_a, ref_b)
+
+
+def even_scored_3x3():
+    """Marginals (1/8, 3/4, 1/8), under which scores (-1, 0, 1) normalize to (-2, 0, 2)."""
+    marg = np.array([1 / 8, 3 / 4, 1 / 8])
+    corner = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
+    sb = make_scored_base(from_matrix(np.outer(marg, marg) + corner / 128), [-1, 0, 1], [-1, 0, 1])
+    assert np.array_equal(sb.g, [-2.0, 0.0, 2.0]) and np.array_equal(sb.h, [-2.0, 0.0, 2.0])
+    return sb
+
+
+class TestScoreSumSublattice:
+    """The sublattice convolution against the full-grid oracle, bit for bit."""
+
+    def test_seeded_sweep_is_bit_identical(self):
+        rng = np.random.default_rng(20)
+        gcds = set()
+        for _ in range(400):
+            n_rows, n_cols = (int(k) for k in rng.integers(1, 5, size=2))
+            entries = rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) > 0.3)
+            if not entries.any():
+                entries[0, 0] = 1.0
+            entries /= entries.sum()
+            a = rng.integers(-3, 4, size=n_rows) * int(rng.choice([1, 2, 3, 5, 6]))
+            b = rng.integers(-3, 4, size=n_cols) * int(rng.choice([1, 2, 5]))
+            n = int(rng.integers(1, 7))
+            gcds.add(lattice_gcd(entries, a, 1))
+            gcds.add(lattice_gcd(entries, b, 0))
+            assert same_law(score_sum_law(entries, a, b, n), full_grid_score_sum_law(entries, a, b, n))
+        assert {1, 2, 5} <= gcds
+
+    @pytest.mark.parametrize(
+        "entries, a, b",
+        [
+            # a zero-mass atom carries the smallest score on each side
+            ([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]], [-7, 0, 4], [-9, 2, 6]),
+            # a zero-mass row whose score (0.3 at scale 10) is off the sublattice
+            ([[0.25, 0.25], [0.0, 0.0], [0.25, 0.25]], [-10, 3, 10], [-1, 1]),
+            # a point mass: every offset is equal
+            ([[0.0, 0.0], [0.0, 1.0]], [-2, 3], [1, 5]),
+            # a zero-mass atom carries the largest score
+            ([[0.5, 0.0], [0.5, 0.0]], [0, 4], [-1, 8]),
+        ],
+        ids=["zero-mass-minimum", "zero-mass-off-lattice", "point-mass", "zero-mass-maximum"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_zero_mass_atoms_keep_the_full_grid(self, entries, a, b, n):
+        entries, a, b = np.array(entries), np.array(a), np.array(b)
+        assert same_law(score_sum_law(entries, a, b, n), full_grid_score_sum_law(entries, a, b, n))
+
+    @pytest.mark.parametrize(
+        "sb, n",
+        [
+            (pm_one_base(0.4), 128),
+            (even_scored_3x3(), 64),
+            (
+                make_scored_base(
+                    from_matrix([[0.25, 0.25], [0.0, 0.0], [0.25, 0.25]]), [-1.0, 0.3, 1.0], [-1.0, 1.0]
+                ),
+                9,
+            ),
+        ],
+        ids=["sign-pair", "3x3-even-scores", "off-lattice-zero-row"],
+    )
+    def test_theorem6_value_unchanged(self, monkeypatch, sb, n):
+        got = theorem6_corr(sb, n, method="exact").value
+        monkeypatch.setattr(constructions, "score_sum_law", full_grid_score_sum_law)
+        assert got == theorem6_corr(sb, n, method="exact").value
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tensor_gap_unchanged(self, monkeypatch, seed):
+        m = random_joint(3, 3, seed=seed)
+        got = tensor_gap_lower_bound(m, n_max=3)
+        monkeypatch.setattr(sharpness_search, "score_sum_law", full_grid_score_sum_law)
+        assert got == tensor_gap_lower_bound(m, n_max=3)
 
 
 class TestWitnessSearch:

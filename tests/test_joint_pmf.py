@@ -82,6 +82,18 @@ class TestFromMatrix:
         with pytest.raises(NegativeEntry):
             from_matrix(np.array([["0.5", "x"]]))
 
+    @pytest.mark.parametrize(
+        "arr",
+        [np.array([["0.5", "0.5"]]), np.array([[True, False]])],
+        ids=["text", "bool"],
+    )
+    def test_convertible_non_real_array_is_a_bad_entry(self, arr):
+        with pytest.raises(NegativeEntry):
+            from_matrix(arr)
+
+    def test_integer_entries_accepted(self):
+        assert np.array_equal(from_matrix([[1, 0], [0, 0]]).entries, [[1.0, 0.0], [0.0, 0.0]])
+
 
 class TestMarginals:
     def test_uniform(self):
@@ -277,6 +289,9 @@ class TestJson:
             ({"matrix": [[[0.5]], [[0.5]]]}, NonRectangular),
             ({"matrix": [[0.5, 0.5]], "row_labels": 5}, NonRectangular),
             ([1, 2], NonRectangular),
+            ({"matrix": [["0.5", "0.5"]]}, NegativeEntry),
+            ({"matrix": [[True, False]]}, NegativeEntry),
+            ({"matrix": [[0.5, True], [0.0, 0.0]]}, NegativeEntry),
         ],
     )
     def test_malformed_document_names_its_problem(self, doc, error):
