@@ -186,6 +186,8 @@ def make_scored_base(
         )
     if holds_bool_or_text(g_raw) or holds_bool_or_text(h_raw):
         raise OutOfRange("scores must be real numbers, not booleans or strings")
+    if not (np.isfinite(g_arr).all() and np.isfinite(h_arr).all()):
+        raise OutOfRange("scores must be finite")
     r_m = base.entries.sum(axis=1)
     c_m = base.entries.sum(axis=0)
     g = _normalize_scores(g_arr, r_m, "g")
@@ -197,10 +199,16 @@ def make_scored_base(
 
 
 def _normalize_scores(raw: np.ndarray, weights: np.ndarray, name: str) -> np.ndarray:
+    """Center and scale finite scores; a variance past the float range raises
+    OutOfRange, and ``peak * peak``, unlike ``peak ** 2``, rounds to inf."""
     mean = float(weights @ raw)
-    centered = raw - mean
-    var = float(weights @ centered**2)
-    if var <= 1e-20 * max(1.0, float(np.abs(raw).max()) ** 2):
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = raw - mean
+        var = float(weights @ centered**2)
+    if not math.isfinite(var):
+        raise OutOfRange(f"{name} variance overflows a float")
+    peak = max(1.0, float(np.abs(raw).max()))
+    if var <= 1e-20 * peak * peak:
         raise ZeroVariance(f"{name} has zero variance under its marginal")
     return centered / math.sqrt(var)
 
@@ -261,7 +269,9 @@ def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> 
     ``a`` and ``b`` are integer scores of the row and column atoms of the
     mass matrix ``entries``.  Returns (law, lo_a, lo_b) with law[i, j] =
     P(sum of a = lo_a + i, sum of b = lo_b + j); the law has
-    (n * span(a) + 1) x (n * span(b) + 1) cells.
+    (n * span(a) + 1) x (n * span(b) + 1) cells, and a grid of more than
+    ``STATE_CAP`` cells raises StateSpaceTooLarge before anything is
+    allocated.
 
     On each side every sum lands on n * o + d * k, where o is the smallest
     score of a positive-mass cell (shifted by the minimum score) and d the
@@ -273,6 +283,10 @@ def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> 
     cells only: a zero-mass atom may carry any score.
     """
     amin, bmin = int(a.min()), int(b.min())
+    size_a = n * (int(a.max()) - amin) + 1
+    size_b = n * (int(b.max()) - bmin) + 1
+    if size_a * size_b > STATE_CAP:
+        raise StateSpaceTooLarge(f"lattice grid {size_a}x{size_b} exceeds {STATE_CAP} states")
     rows, cols = np.nonzero(entries > 0.0)
     off_a, off_b = a[rows] - amin, b[cols] - bmin
     o_a, o_b = int(off_a.min()), int(off_b.min())
@@ -289,7 +303,7 @@ def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> 
         for ia, jb, p in steps:
             new[ia : ia + cur.shape[0], jb : jb + cur.shape[1]] += p * cur
         cur = new
-    law = np.zeros((n * (int(a.max()) - amin) + 1, n * (int(b.max()) - bmin) + 1))
+    law = np.zeros((size_a, size_b))
     law[
         n * o_a : n * o_a + d_a * (cur.shape[0] - 1) + 1 : d_a,
         n * o_b : n * o_b + d_b * (cur.shape[1] - 1) + 1 : d_b,
@@ -301,15 +315,9 @@ def _exact_corr_lattice(sb: ScoredBase, n: int, scale: int) -> float:
     """Indicator correlation from the joint law of integer score sums."""
     a_vals = np.rint(sb.g * scale).astype(np.int64)
     b_vals = np.rint(sb.h * scale).astype(np.int64)
-    size_a = n * int(a_vals.max() - a_vals.min()) + 1
-    size_b = n * int(b_vals.max() - b_vals.min()) + 1
-    if size_a * size_b > STATE_CAP:
-        raise StateSpaceTooLarge(
-            f"lattice grid {size_a}x{size_b} exceeds {STATE_CAP} states"
-        )
     cur, lo_a, lo_b = score_sum_law(sb.base.entries, a_vals, b_vals, n)
-    pos_a = np.arange(size_a) + lo_a > 0
-    pos_b = np.arange(size_b) + lo_b > 0
+    pos_a = np.arange(cur.shape[0]) + lo_a > 0
+    pos_b = np.arange(cur.shape[1]) + lo_b > 0
     qa = float(cur[pos_a, :].sum())
     qb = float(cur[:, pos_b].sum())
     q11 = float(cur[np.ix_(pos_a, pos_b)].sum())
@@ -507,23 +515,10 @@ def theorem6_witness_search(
     for n in range(1, n_max + 1):
         est = theorem6_corr(sb, n, method=method, samples=samples, seed=seed)
         margin = 0.0 if est.method == "exact" else 3.0 * est.stderr
-        slack = est.value - margin - t
-        if slack > BOUND_TOL:
-            check = CheckResult(
-                check_name="sum_indicator_corr>t",
-                lhs=t,
-                rhs=est.value - margin,
-                slack=slack,
-                passed=True,
-                tolerance=BOUND_TOL,
-                instance_digest={
-                    "n": n,
-                    "t": t,
-                    "r": sb.r,
-                    "method": est.method,
-                    "samples": est.samples,
-                },
-            )
+        rhs = est.value - margin
+        if rhs - t > BOUND_TOL:
+            digest = {"n": n, "t": t, "r": sb.r, "method": est.method, "samples": est.samples}
+            check = _result("sum_indicator_corr>t", t, rhs, BOUND_TOL, digest)
             return WitnessHit(n=n, estimate=est, check=check)
     return None
 

@@ -2,7 +2,10 @@
 
 Public functions never raise bare ValueError/TypeError for contract
 violations; they raise one of the classes below so callers (and the CLI)
-can map failures to exit codes without string matching.
+can map failures to exit codes without string matching.  Every class
+derives from DependenceError; IndexOutOfRange, an atom index outside the
+matrix shape, is also a kind of OutOfRange, so one handler catches every
+value outside its domain.
 """
 
 from __future__ import annotations
@@ -28,16 +31,16 @@ class ZeroTotal(DependenceError):
     """Normalization requested but the entries sum to 0."""
 
 
-class IndexOutOfRange(DependenceError):
-    """An atom index is outside the matrix shape."""
-
-
 class SizeOverflow(DependenceError):
     """A product construction would exceed the entry cap (``STATE_CAP``)."""
 
 
 class OutOfRange(DependenceError):
     """A scalar parameter is outside its documented domain."""
+
+
+class IndexOutOfRange(OutOfRange):
+    """An atom index is outside the matrix shape."""
 
 
 class TooLargeForExact(DependenceError):

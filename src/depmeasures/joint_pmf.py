@@ -220,22 +220,33 @@ def _check_index(i: int, n: int, side: str) -> int:
     return i
 
 
+def event_masks(M: JointPMF, e: EventPair) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean row and column masks of an event pair's index sets.
+
+    The one place an event pair meets the matrix shape: an index outside
+    it raises IndexOutOfRange.
+    """
+    rmask = np.zeros(M.n_rows, dtype=bool)
+    cmask = np.zeros(M.n_cols, dtype=bool)
+    for i in e.row_set:
+        if not 0 <= i < M.n_rows:
+            raise IndexOutOfRange(f"row index {i} outside [0, {M.n_rows})")
+        rmask[i] = True
+    for j in e.col_set:
+        if not 0 <= j < M.n_cols:
+            raise IndexOutOfRange(f"col index {j} outside [0, {M.n_cols})")
+        cmask[j] = True
+    return rmask, cmask
+
+
 def event_prob(M: JointPMF, e: EventPair) -> tuple[float, float, float]:
     """Masses (P(A), P(B), P(A and B)) of an event pair.
 
     P(A and B) is the sum of entries over the row_set x col_set rectangle.
     """
-    rows = sorted(_check_index(i, M.n_rows, "row") for i in e.row_set)
-    cols = sorted(_check_index(j, M.n_cols, "col") for j in e.col_set)
-    if not rows:
-        pa = 0.0
-        pab = 0.0
-    else:
-        sub = M.entries[rows, :]
-        pa = float(sub.sum())
-        pab = float(sub[:, cols].sum()) if cols else 0.0
-    pb = float(M.entries[:, cols].sum()) if cols else 0.0
-    return pa, pb, pab
+    rmask, cmask = event_masks(M, e)
+    sub = M.entries[rmask]
+    return float(sub.sum()), float(M.entries[:, cmask].sum()), float(sub[:, cmask].sum())
 
 
 def kron(M1: JointPMF, M2: JointPMF) -> JointPMF:

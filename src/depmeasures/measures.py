@@ -50,7 +50,7 @@ from .errors import (
     OutOfRange,
     TooLargeForExact,
 )
-from .joint_pmf import EventPair, JointPMF
+from .joint_pmf import EventPair, JointPMF, event_masks
 
 KINDS = ("psi", "lambda", "tau")
 MODES = ("exact", "heuristic", "auto")
@@ -155,20 +155,6 @@ def _check_kind(kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _bool_masks(M: JointPMF, e: EventPair) -> tuple[np.ndarray, np.ndarray]:
-    rmask = np.zeros(M.n_rows, dtype=bool)
-    cmask = np.zeros(M.n_cols, dtype=bool)
-    for i in e.row_set:
-        if not 0 <= i < M.n_rows:
-            raise OutOfRange(f"row index {i} outside [0, {M.n_rows})")
-        rmask[i] = True
-    for j in e.col_set:
-        if not 0 <= j < M.n_cols:
-            raise OutOfRange(f"col index {j} outside [0, {M.n_cols})")
-        cmask[j] = True
-    return rmask, cmask
-
-
 def _quadrants(entries: np.ndarray, rmask: np.ndarray, cmask: np.ndarray) -> tuple[np.float64, ...]:
     p11 = entries[rmask][:, cmask].sum()
     p10 = entries[rmask][:, ~cmask].sum()
@@ -185,7 +171,7 @@ def event_covariance(M: JointPMF, e: EventPair) -> float:
     by its complement (the two forms agree whenever total mass is exactly
     1).
     """
-    rmask, cmask = _bool_masks(M, e)
+    rmask, cmask = event_masks(M, e)
     p11, p10, p01, p00 = _quadrants(M.entries, rmask, cmask)
     return float(p11 * p00 - p10 * p01)
 
@@ -193,7 +179,7 @@ def event_covariance(M: JointPMF, e: EventPair) -> float:
 def event_statistic(M: JointPMF, e: EventPair, kind: str) -> float:
     """One event pair's psi, lambda, or tau statistic (0/0 read as 0)."""
     _check_kind(kind)
-    rmask, cmask = _bool_masks(M, e)
+    rmask, cmask = event_masks(M, e)
     p11, p10, p01, p00 = _quadrants(M.entries, rmask, cmask)
     num = abs(p11 * p00 - p10 * p01)
     return float(_statistic(kind, num, p11 + p10, p01 + p00, p11 + p01, p10 + p00))

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constructions import _indicator_corr, score_sum_law
+from .constructions import _indicator_corr, score_sum_law, yy_pair
 from .errors import InvariantViolation, OutOfRange
 from .joint_pmf import JointPMF, _kron_entries, _validated, from_matrix
 from .measures import (
@@ -189,8 +189,7 @@ def _sign_pair_embedding(shape: tuple[int, int], t: float) -> np.ndarray:
     n_rows, n_cols = shape
     arr = np.zeros(shape)
     if n_rows >= 2 and n_cols >= 2:
-        diag, off = (1.0 + t) / 4.0, (1.0 - t) / 4.0
-        arr[:2, :2] = [[diag, off], [off, diag]]
+        arr[:2, :2] = yy_pair(t).entries
     else:
         arr[:] = 1.0 / (n_rows * n_cols)
     return arr

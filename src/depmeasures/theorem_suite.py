@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -308,6 +309,8 @@ def fuzz(
     shapes = [(int(a), int(b)) for a, b in shapes]
     if not shapes or not styles:
         raise OutOfRange("need at least one shape and one style")
+    if count < 0:
+        raise OutOfRange(f"count must be >= 0, got {count}")
     for n_rows, n_cols in shapes:
         if not within_exact_cap(n_rows, n_cols):
             raise TooLargeForExact(f"shape {n_rows}x{n_cols} beyond exact caps")
@@ -316,7 +319,7 @@ def fuzz(
 
     grid = [(sh, st) for st in styles for sh in shapes]
     results: list[CheckResult] = []
-    matrices: list[tuple[int, JointPMF, JointPMF | None]] = []
+    failures: list[CheckResult] = []
 
     for idx in range(count):
         (n_rows, n_cols), style = grid[idx % len(grid)]
@@ -348,27 +351,21 @@ def fuzz(
                 rho_b, rho_k = _rho(m_b).value, _rho(joined).value
                 batch.extend(_csaki_results(rep.rho, rho_b, rho_k, pair_digest))
         results.extend(batch)
-        matrices.append((idx, m_a, m_b))
+        for res in batch:
+            if not res.passed:
+                embedded = dict(res.instance_digest, matrix=m_a.to_jsonable()["matrix"])
+                if m_b is not None and "seed2" in embedded:
+                    embedded["matrix2"] = m_b.to_jsonable()["matrix"]
+                failures.append(dataclasses.replace(res, instance_digest=embedded))
 
-    by_index = {idx: (m_a, m_b) for idx, m_a, m_b in matrices}
-    failures = []
-    for res in results:
-        if res.passed:
-            continue
-        m_a, m_b = by_index[res.instance_digest["index"]]
-        embedded = dict(res.instance_digest)
-        embedded["matrix"] = m_a.to_jsonable()["matrix"]
-        if m_b is not None and "seed2" in embedded:
-            embedded["matrix2"] = m_b.to_jsonable()["matrix"]
-        failures.append(dataclasses.replace(res, instance_digest=embedded))
-
-    names = sorted({res.check_name for res in results})
+    # The _NEAR_SHARP_PER_CHECK smallest slacks of each check, in one sort.
+    results.sort(key=lambda res: (res.slack, res.check_name, res.instance_digest["index"]))
+    kept: Counter = Counter()
     near: list[CheckResult] = []
-    for name in names:
-        group = [res for res in results if res.check_name == name]
-        group.sort(key=lambda res: (res.slack, res.instance_digest["index"]))
-        near.extend(group[:_NEAR_SHARP_PER_CHECK])
-    near.sort(key=lambda res: (res.slack, res.check_name, res.instance_digest["index"]))
+    for res in results:
+        if kept[res.check_name] < _NEAR_SHARP_PER_CHECK:
+            kept[res.check_name] += 1
+            near.append(res)
 
     return FuzzReport(
         total=len(results), failures=failures, near_sharp=near, rng_seed=int(seed)

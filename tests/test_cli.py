@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from depmeasures import random_joint, save_json
+from depmeasures import from_matrix, random_joint, save_json
 from depmeasures.cli import _build_parser, run
 
 from test_measures import isolated_atom_matrices
@@ -136,6 +137,13 @@ class TestChecksAndFuzz:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert r1["failures"] == []
 
+    def test_fuzz_negative_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert run(["fuzz", "--count", "-5", "--shape", "2x2", "--seed", "1",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: count must be >= 0")
+
 
 class TestSearchCli:
     def test_search_rho_json(self, tmp_path):
@@ -200,6 +208,55 @@ class TestTheorem6Cli:
         doc = read_doc(out)
         assert doc["result"]["found"] is False
 
+    def test_witness_search_hit_payload(self, tmp_path):
+        # the corner base of test_no_hit_from_float_noise_at_n_one; t is its tau
+        marg = np.array([1 / 8, 3 / 4, 1 / 8])
+        corner = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
+        doc = from_matrix(np.outer(marg, marg) + 0.32203486496116707 / 64 * corner).to_jsonable()
+        doc.update(g=[-1.0, 0.0, 1.0], h=[-1.0, 0.0, 1.0])
+        sb = tmp_path / "corner.json"
+        sb.write_text(json.dumps(doc))
+        out = tmp_path / "w.json"
+        assert run(["witness-search", "--t", "0.046004980708738145", "--base", str(sb),
+                    "--nmax", "3", "--method", "exact", "--out", str(out)]) == 0
+        result = read_doc(out)["result"]
+        assert result["found"] is True
+        assert result["hit"] == {
+            "n": 2,
+            "estimate": {"n": 2, "value": 0.04775735025708148, "stderr": 0.0,
+                         "method": "exact", "samples": 0},
+            "check": {
+                "check_name": "sum_indicator_corr>t",
+                "lhs": 0.046004980708738145,
+                "rhs": 0.04775735025708148,
+                "slack": 0.0017523695483433327,
+                "pass": True,
+                "tolerance": 1e-09,
+                "instance_digest": {"n": 2, "t": 0.046004980708738145,
+                                    "r": 0.08050871624029177, "method": "exact",
+                                    "samples": 0},
+                "witness": None,
+            },
+        }
+
+    def test_exact_sign_pair_beyond_state_cap_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "yy.json"
+        assert run(["yy", "--t", "0.5", "--out", str(f)]) == 0
+        assert run(["theorem6", "--base", str(f), "--g=-1,1", "--h=-1,1",
+                    "--n", "1600", "--method", "exact"]) == 2
+        assert "lattice grid 3201x3201 exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g, message", [
+        ("nan,1", "scores must be finite"),
+        ("inf,1", "scores must be finite"),
+        ("1e308,-1e308", "g variance overflows"),
+    ])
+    def test_non_finite_or_overflowing_scores_exit_2(self, tmp_path, capsys, g, message):
+        f = tmp_path / "yy.json"
+        assert run(["yy", "--t", "0.5", "--out", str(f)]) == 0
+        assert run(["theorem6", "--base", str(f), f"--g={g}", "--h=-1,1", "--n", "4"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_lemma7(self, tmp_path):
         out = tmp_path / "l.json"
         assert run(["lemma7", "--grid", "2000", "--out", str(out)]) == 0
@@ -245,9 +302,14 @@ def near_sharp_digests(doc):
         ('{"matrix": [[true, false]]}', ["measures", "--in"]),
         ('{"matrix": [[0.5, 0], [0, 0.5]], "g": ["-1", "1"], "h": [-1, 1]}',
          ["theorem6", "--n", "1", "--base"]),
+        ('{"matrix": [[0.5, 0], [0, 0.5]], "g": [1e308, -1e308], "h": [-1, 1]}',
+         ["theorem6", "--n", "4", "--base"]),
+        ('{"matrix": [[0.5, 0], [0, 0.5]], "g": [NaN, 1], "h": [-1, 1]}',
+         ["theorem6", "--n", "4", "--base"]),
     ],
     ids=["text-entry", "scalar-matrix", "flat-list", "nested-entry", "top-level-array",
-         "text-score", "quoted-entry", "boolean-entry", "quoted-score"],
+         "text-score", "quoted-entry", "boolean-entry", "quoted-score",
+         "overflowing-score", "nan-score"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, text, command):
     f = tmp_path / "in.json"

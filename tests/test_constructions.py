@@ -28,7 +28,7 @@ from depmeasures import (
 
 import depmeasures.constructions as constructions
 import depmeasures.sharpness_search as sharpness_search
-from depmeasures.constructions import STATE_CAP, score_sum_law
+from depmeasures.constructions import MC_MIN_SAMPLES, STATE_CAP, score_sum_law
 from depmeasures.sharpness_search import tensor_gap_lower_bound
 from depmeasures.theorem_suite import BOUND_TOL
 
@@ -190,6 +190,28 @@ class TestScoredBase:
         with pytest.raises(OutOfRange):
             make_scored_base(yy_pair(0.5), g, [-1.0, 1.0])
 
+    @pytest.mark.parametrize("g, h", [
+        ([math.nan, 1.0], [-1.0, 1.0]),
+        ([math.inf, 1.0], [-1.0, 1.0]),
+        ([-1.0, 1.0], [-1.0, -math.inf]),
+    ])
+    def test_non_finite_scores_rejected(self, g, h):
+        with pytest.raises(OutOfRange, match="scores must be finite"):
+            make_scored_base(yy_pair(0.5), g, h)
+
+    def test_overflowing_variance_rejected(self):
+        with pytest.raises(OutOfRange, match="g variance overflows"):
+            make_scored_base(yy_pair(0.5), [1e308, -1e308], [-1.0, 1.0])
+        with pytest.raises(OutOfRange, match="h variance overflows"):
+            make_scored_base(yy_pair(0.5), [-1.0, 1.0], [-1e308, 1e308])
+
+    def test_scores_near_the_float_limit_normalize(self):
+        # the square of the largest score overflows, the variance does not
+        sb = make_scored_base(yy_pair(0.5), [1.5e154, 0.0], [-1.0, 1.0])
+        assert np.array_equal(sb.g, [1.0, -1.0])
+        with pytest.raises(ZeroVariance):
+            make_scored_base(yy_pair(0.5), [1e200, 1e200], [-1.0, 1.0])
+
     def test_scalar_scores_rejected(self):
         with pytest.raises(OutOfRange):
             make_scored_base(yy_pair(0.5), 1.0, [-1.0, 1.0])
@@ -235,6 +257,11 @@ class TestTheorem6Corr:
             want[sum(a[i] for i, _ in cells) - lo_a, sum(b[j] for _, j in cells) - lo_b] += p
         assert np.allclose(law, want, rtol=0.0, atol=1e-15)
 
+    def test_score_sum_law_checks_the_grid_before_allocating(self):
+        # a 2 x (10^12 + 1) grid would need 16 TB
+        with pytest.raises(StateSpaceTooLarge, match="exceeds"):
+            score_sum_law(yy_pair(0.5).entries, np.array([0, 1]), np.array([0, 10**12]), 1)
+
     def test_irrational_scores_fall_back_to_enumeration(self):
         base = random_joint(2, 2, seed=4)
         res = rho(base)
@@ -249,6 +276,15 @@ class TestTheorem6Corr:
         sb = make_scored_base(base, res.witness[0], res.witness[1])
         with pytest.raises(StateSpaceTooLarge):
             theorem6_corr(sb, 64, method="exact")
+
+    def test_sign_pair_lattice_beyond_state_cap(self):
+        # the full grid has 3201^2 > STATE_CAP cells, though the sign pair's
+        # sums fill only one cell in two on each side
+        sb = pm_one_base(0.5)
+        with pytest.raises(StateSpaceTooLarge, match="lattice grid 3201x3201"):
+            theorem6_corr(sb, 1600, method="exact")
+        est = theorem6_corr(sb, 1600, method="auto", samples=MC_MIN_SAMPLES, seed=1)
+        assert est.method == "monte_carlo"
 
     def test_mc_requires_samples_and_seed(self):
         sb = pm_one_base(0.5)

@@ -16,6 +16,7 @@ from depmeasures import (
     SizeOverflow,
     ZeroTotal,
     event_prob,
+    event_statistic,
     exact_event_values,
     from_matrix,
     kron,
@@ -126,6 +127,15 @@ class TestMarginals:
         assert pa == pytest.approx(opa, abs=1e-15)
         assert pb == pytest.approx(opb, abs=1e-15)
         assert pab == pytest.approx(opab, abs=1e-15)
+
+    def test_column_index_outside_shape(self):
+        m = random_joint(2, 3, seed=5)
+        pair = EventPair.of((0,), (3,))
+        with pytest.raises(IndexOutOfRange, match="col index 3 outside"):
+            event_prob(m, pair)
+        with pytest.raises(IndexOutOfRange, match="col index 3 outside"):
+            event_statistic(m, pair, "tau")
+        assert issubclass(IndexOutOfRange, OutOfRange)
 
 
 class TestKron:

@@ -198,6 +198,10 @@ class TestFuzz:
         assert rep.failures == []
         assert rep.near_sharp == []
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(OutOfRange, match="count"):
+            fuzz(shapes=[(3, 3)], styles=["dense"], count=-5, seed=1)
+
     def test_deterministic(self):
         a = fuzz(shapes=[(3, 3), (2, 4)], styles=["dense", "sparse"], count=40, seed=11)
         b = fuzz(shapes=[(3, 3), (2, 4)], styles=["dense", "sparse"], count=40, seed=11)
@@ -269,3 +273,17 @@ class TestFuzz:
             assert not res.passed
             matrix = res.instance_digest["matrix"]
             assert len(matrix) == 3 and len(matrix[0]) == 3
+
+    def test_failing_pair_check_embeds_both_matrices(self, monkeypatch):
+        import depmeasures.theorem_suite as suite
+
+        def broken_csaki(r1, r2, rk, digest):
+            return [suite._result("rho(kron)<=max(rho1,rho2)", 1.0, 0.0, 1e-9, digest)]
+
+        monkeypatch.setattr(suite, "_csaki_results", broken_csaki)
+        rep = suite.fuzz(shapes=[(2, 3)], styles=["sparse"], count=2, seed=23)
+        assert [res.instance_digest["index"] for res in rep.failures] == [0, 1]
+        for res in rep.failures:
+            d = res.instance_digest
+            assert d["matrix"] == random_joint(2, 3, d["seed"], "sparse").to_jsonable()["matrix"]
+            assert d["matrix2"] == random_joint(2, 3, d["seed2"], "sparse").to_jsonable()["matrix"]
