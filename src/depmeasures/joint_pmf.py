@@ -223,20 +223,25 @@ def _check_index(i: int, n: int, side: str) -> int:
 def event_masks(M: JointPMF, e: EventPair) -> tuple[np.ndarray, np.ndarray]:
     """Boolean row and column masks of an event pair's index sets.
 
-    The one place an event pair meets the matrix shape: an index outside
-    it raises IndexOutOfRange.
+    The one place an event pair meets the matrix shape: an index that is
+    not an integer (Python or numpy, booleans excluded) or lies outside it
+    raises IndexOutOfRange.
     """
-    rmask = np.zeros(M.n_rows, dtype=bool)
-    cmask = np.zeros(M.n_cols, dtype=bool)
-    for i in e.row_set:
-        if not 0 <= i < M.n_rows:
-            raise IndexOutOfRange(f"row index {i} outside [0, {M.n_rows})")
-        rmask[i] = True
-    for j in e.col_set:
-        if not 0 <= j < M.n_cols:
-            raise IndexOutOfRange(f"col index {j} outside [0, {M.n_cols})")
-        cmask[j] = True
-    return rmask, cmask
+    return (
+        _index_mask(e.row_set, M.n_rows, "row"),
+        _index_mask(e.col_set, M.n_cols, "col"),
+    )
+
+
+def _index_mask(indices: Iterable, n: int, side: str) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    for i in indices:
+        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+            raise IndexOutOfRange(f"{side} index {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise IndexOutOfRange(f"{side} index {i} outside [0, {n})")
+        mask[i] = True
+    return mask
 
 
 def event_prob(M: JointPMF, e: EventPair) -> tuple[float, float, float]:

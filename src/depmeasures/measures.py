@@ -20,14 +20,16 @@ Exact lambda and tau enumerate one representative per complement class
 against a fixed S the best T is a threshold set of the other side's atoms,
 so each class costs one sort and a few cumulative sums.  The scan keeps
 no state: ``_class_members`` builds each batch's members from their class
-numbers, so its memory is O(``_BATCH_CLASSES`` x atoms).  Exact mode runs
-up to ``EXACT_CAP`` (14) atoms on each side: :func:`within_exact_cap` is
-the one rule for it, which every public way into the exact scan applies
-through one gate and the fuzz harness and the search reuse.  Beyond the
-cap an alternating threshold-ascent heuristic returns certified lower
-bounds, handing the split kernel all its restarts at once.  All three
-statistics, of one pair or of many splits, come from one elementwise
-kernel, ``_statistic``.
+numbers, so its memory is O(``_BATCH_CLASSES`` x atoms), also for a stack
+of matrices scanned (and their rho SVDs run) in one call: a stacked batch
+holds at most ``_BATCH_CLASSES`` (matrix, class, atom) cells, or one
+matrix.  Exact mode runs up to ``EXACT_CAP`` (14) atoms on each side:
+:func:`within_exact_cap` is the one rule for it, which every public way
+into the exact scan applies through one gate and the fuzz harness and the
+search reuse.  Beyond the cap an alternating threshold-ascent heuristic
+returns certified lower bounds, handing the split kernel all its restarts
+at once.  All three statistics, of one pair or of many splits, come from
+one elementwise kernel, ``_statistic``.
 
 Witness rule: in both modes the statistic of each witness pair, by
 :func:`event_statistic`, must agree with the scan's or the heuristic's raw
@@ -156,11 +158,8 @@ def _check_kind(kind: str) -> str:
 
 
 def _quadrants(entries: np.ndarray, rmask: np.ndarray, cmask: np.ndarray) -> tuple[np.float64, ...]:
-    p11 = entries[rmask][:, cmask].sum()
-    p10 = entries[rmask][:, ~cmask].sum()
-    p01 = entries[~rmask][:, cmask].sum()
-    p00 = entries[~rmask][:, ~cmask].sum()
-    return p11, p10, p01, p00
+    rows, rest, rest_c = entries[rmask], entries[~rmask], ~cmask
+    return rows[:, cmask].sum(), rows[:, rest_c].sum(), rest[:, cmask].sum(), rest[:, rest_c].sum()
 
 
 def event_covariance(M: JointPMF, e: EventPair) -> float:
@@ -211,8 +210,9 @@ def _statistic(kind: str, num, pa, pac, pb, pbc) -> np.ndarray:
 def _splits(w: np.ndarray, marg: np.ndarray, rank: bool = True) -> tuple[np.ndarray | None, ...]:
     """Covariance and masses of every threshold split against fixed events.
 
-    ``w[0, b, j]``, ``w[1, b, j]`` are P(S_b and j), P(S_b^c and j) over
-    positive-mass atoms j of the other side, of masses ``marg``.  Against
+    ``w[0, ..., b, j]``, ``w[1, ..., b, j]`` are P(S_b and j), P(S_b^c and j)
+    over positive-mass atoms j of the other side, of masses ``marg``
+    (broadcast against ``w[0]``); leading axes stack instances.  Against
     S_b the covariance of T is linear in T and each statistic is
     quasiconvex in (covariance, P(T)), so it peaks at a prefix or suffix of
     the atoms ranked by the centered key w[0]*P(S_b^c) - w[1]*P(S_b) per
@@ -229,15 +229,15 @@ def _splits(w: np.ndarray, marg: np.ndarray, rank: bool = True) -> tuple[np.ndar
     ratio = w[0] / marg
     order = None
     if rank:
-        order = np.argsort(-ratio, axis=1, kind="stable")
-        ranked = np.take_along_axis(w, order[None], axis=2)
-        p11, p01 = np.cumsum(ranked[:, :, :-1], axis=2)
-        p10, p00 = np.cumsum(ranked[:, :, :0:-1], axis=2)[:, :, ::-1]
+        order = np.argsort(-ratio, axis=-1, kind="stable")
+        ranked = np.take_along_axis(w, order[None], axis=-1)
+        p11, p01 = np.cumsum(ranked[..., :-1], axis=-1)
+        p10, p00 = np.cumsum(ranked[..., :0:-1], axis=-1)[..., ::-1]
     else:
-        in_t = ratio[:, None, :] >= ratio[:, :, None]
+        in_t = ratio[..., None, :] >= ratio[..., :, None]
         p11, p01 = (in_t @ w[..., None])[..., 0]
         p10, p00 = (~in_t @ w[..., None])[..., 0]
-    p_s, p_sc = w.sum(axis=2)
+    p_s, p_sc = w.sum(axis=-1)
     return order, np.abs(p11 * p00 - p10 * p01), p11 + p01, p10 + p00, p_s, p_sc
 
 
@@ -251,7 +251,7 @@ def _split_stat(kind: str, num, pt, ptc, p_s, p_sc, fixed: bool = False) -> np.n
     if kind != "tau":
         p_s = p_s if fixed else np.minimum(p_s, p_sc)
         pt = np.minimum(pt, ptc)
-    return _statistic(kind, num, p_s[:, None], p_sc[:, None], pt, ptc)
+    return _statistic(kind, num, p_s[..., None], p_sc[..., None], pt, ptc)
 
 
 def _attaining(kind: str, pa, pb) -> tuple:
@@ -269,8 +269,10 @@ def _attaining(kind: str, pa, pb) -> tuple:
 # Exact suprema: closed-form psi, one-sided enumeration for lambda and tau
 # ---------------------------------------------------------------------------
 
-# Complement classes scored per batch; batches this small also keep the
-# mask matmul off the BLAS thread pool, which costs more than it saves.
+# Complement classes scored per batch, and (matrix, class, atom) cells per
+# batch of a stack of small matrices.  A stacked matmul makes one BLAS call
+# per matrix, so batches this small also keep it off the BLAS thread pool,
+# which costs more than it saves.
 _BATCH_CLASSES = 2048
 # Value-only scans enumerating at most this many atoms (127 classes; the
 # split side is within the cap) compare atoms pairwise, not by sorting:
@@ -295,125 +297,173 @@ def _class_members(n: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _indices_tuple(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.nonzero(mask)[0])
+    return tuple(np.flatnonzero(mask).tolist())
 
 
 def _sum_excluding(a: np.ndarray) -> np.ndarray:
     """Row sums of ``a`` leaving out each column in turn, summed directly."""
     out = np.zeros_like(a)
-    out[:, 1:] += np.cumsum(a[:, :-1], axis=1)
-    out[:, :-1] += np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]
+    out[..., 1:] += np.cumsum(a[..., :-1], axis=-1)
+    out[..., :-1] += np.cumsum(a[..., :0:-1], axis=-1)[..., ::-1]
     return out
 
 
-def _psi_closed_form(entries: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """psi and the first single-atom pair (row-major) tied with it.
+def _psi_closed_form(stack: np.ndarray) -> tuple[np.ndarray, list[EventPair]]:
+    """psi of each matrix of a stack, and its first single-atom pair tied with it.
 
     P(AB)/(P(A)P(B)) is a mediant of the ratios p_ij/(r_i c_j), so psi is
     max |p_ij/(r_i c_j) - 1|, attained at single atoms; each atom's
     covariance is in determinant form over quadrant masses summed directly.
+    Ties go to the first pair in row-major order.
     """
-    p10 = _sum_excluding(entries)
-    p01 = _sum_excluding(entries.T).T
-    p00 = _sum_excluding(p10.T).T
-    num = np.abs(entries * p00 - p10 * p01)
-    stat = _statistic("psi", num, entries + p10, None, entries + p01, None)
-    top = stat.max()
-    flat = int(np.argmax(stat >= top * _TIE_FRACTION))
-    return float(top), divmod(flat, entries.shape[1])
+    p10 = _sum_excluding(stack)
+    p01 = _sum_excluding(stack.swapaxes(1, 2)).swapaxes(1, 2)
+    p00 = _sum_excluding(p10.swapaxes(1, 2)).swapaxes(1, 2)
+    num = np.abs(stack * p00 - p10 * p01)
+    stat = _statistic("psi", num, stack + p10, None, stack + p01, None).reshape(len(stack), -1)
+    top = stat.max(axis=1)
+    first = np.argmax(stat >= top[:, None] * _TIE_FRACTION, axis=1)
+    n_cols = stack.shape[2]
+    return top, [EventPair.of((f // n_cols,), (f % n_cols,)) for f in first.tolist()]
 
 
 def _exact_scan(
     entries: np.ndarray,
     kinds: Sequence[str] = KINDS,
     witnesses: bool = False,
-) -> tuple[dict[str, float], dict[str, EventPair]]:
+) -> tuple[dict, dict]:
     """Exact suprema of the requested event statistics, optionally witnessed.
 
+    ``entries`` is one matrix, or a (B, rows, cols) stack whose values and
+    witnesses come back as lists, each matrix's bits those it gets alone.
     lambda and tau enumerate the complement classes of the smaller side
     (rows on a tie) and, per class, only the threshold splits of the other
-    side (see :func:`_splits`).  Witness tie-break: among pairs tied with
-    the running maximum (see ``_TIE_FRACTION``), smallest (|row_set|,
-    |col_set|, lexicographic index tuples).
+    side's positive-mass atoms (see :func:`_splits`).  Witness tie-break:
+    among pairs tied with the running maximum (see ``_TIE_FRACTION``),
+    smallest (|row_set|, |col_set|, lexicographic index tuples).
     """
-    n_rows, n_cols = entries.shape
-    values = dict.fromkeys(kinds, 0.0)
-    best: dict[str, tuple[tuple, EventPair, float]] = {}
+    stack = entries if entries.ndim == 3 else entries[None]
+    n_mats, n_rows, n_cols = stack.shape
+    values = {k: [0.0] * n_mats for k in kinds}
+    best: dict[str, list] = {k: [None] * n_mats for k in kinds} if witnesses else {}
     if "psi" in kinds:
-        values["psi"], (i, j) = _psi_closed_form(entries)
-        best["psi"] = ((), EventPair.of((i,), (j,)), values["psi"])
+        psi, atoms = _psi_closed_form(stack)
+        values["psi"] = psi.tolist()
+        best["psi"] = [((), pair, 0.0) for pair in atoms]
 
     split_kinds = [k for k in kinds if k != "psi"]
     transposed = n_cols < n_rows
-    p = entries.T if transposed else entries
-    marg = p.sum(axis=0)
-    pos = np.nonzero(marg > 0.0)[0]
-    n = p.shape[0]
-    n_classes = (1 << (n - 1)) - 1 if split_kinds and pos.size >= 2 else 0
-    sub = p[:, pos]
+    n = min(n_rows, n_cols)
+    n_classes = (1 << (n - 1)) - 1 if split_kinds else 0
     rank = witnesses or n > _LEAN_SIDE
-    for lo in range(0, n_classes, _BATCH_CLASSES):
-        members = _class_members(n, lo, min(lo + _BATCH_CLASSES, n_classes))
-        # Complement masks make complement masses direct sums: zero-mass
-        # events come out as exact 0.0 and the 0/0 rule needs no tolerance.
-        w = np.array((members, ~members), dtype=np.float64) @ sub
-        order, num, pt, ptc, p_s, p_sc = _splits(w, marg[pos], rank)
-        for k in split_kinds:
-            stat = _split_stat(k, num, pt, ptc, p_s, p_sc)
-            cmax = float(stat.max())
-            top = max(values[k], cmax)
-            floor = top * _TIE_FRACTION
-            if witnesses and cmax > 0.0 and cmax >= floor:
-                found = _batch_witness(
-                    k, stat, floor, members, p_s, p_sc, pos[order], pt, ptc, transposed
+    # Matrices with the same positive-mass atoms on the thresholded side form
+    # a stack, scanned in batches of at most _BATCH_CLASSES (matrix, class,
+    # atom) cells, or of one matrix.
+    groups: dict[bytes, tuple] = {}
+    for i, p in enumerate(stack.transpose(0, 2, 1) if transposed else stack) if n_classes else ():
+        marg = p.sum(axis=0)
+        pos = np.nonzero(marg > 0.0)[0]
+        if pos.size >= 2:
+            _, group, masses, subs = groups.setdefault(pos.tobytes(), (pos, [], [], []))
+            group.append(i)
+            masses.append(marg[pos])
+            subs.append(p[:, pos])
+    for pos, group, masses, subs in groups.values():
+        # a lone matrix's stack is a view of it
+        sub = subs[0][None] if len(group) == 1 else np.array(subs)
+        gmarg = masses[0][None] if len(group) == 1 else np.array(masses)
+        step = max(1, _BATCH_CLASSES // (min(n_classes, _BATCH_CLASSES) * pos.size))
+        for lo in range(0, n_classes, _BATCH_CLASSES):
+            members = _class_members(n, lo, min(lo + _BATCH_CLASSES, n_classes))
+            for start in range(0, len(group), step):
+                at = group[start : start + step]
+                # Complement masks make complement masses direct sums: zero-mass
+                # events come out as exact 0.0 and the 0/0 rule needs no tolerance.
+                # One (classes, n) @ (n, size) BLAS call per matrix and side;
+                # the splits run on (matrix, class) rows.
+                masks = np.array((members, ~members), dtype=np.float64)[:, None]
+                w = (masks @ sub[start : start + step]).reshape(2, -1, pos.size)
+                del masks  # freed before the splits allocate theirs
+                row_marg = gmarg[start : start + 1] if len(at) == 1 else np.repeat(
+                    gmarg[start : start + step], len(members), axis=0
                 )
-                if k not in best or best[k][2] < floor or found[0] < best[k][0]:
-                    best[k] = found
-            values[k] = top
+                order, num, pt, ptc, p_s, p_sc = _splits(w, row_marg, rank)
+                for k in split_kinds:
+                    stat = _split_stat(k, num, pt, ptc, p_s, p_sc)
+                    cmaxes = stat.reshape(len(at), -1).max(axis=1).tolist()
+                    tops = values[k]
+                    for i, cmax in zip(at, cmaxes):
+                        tops[i] = max(tops[i], cmax)
+                    if witnesses:
+                        _best_witnesses(
+                            k, best[k], at, cmaxes, [tops[i] for i in at], stat, members,
+                            p_s, p_sc, pos, order, pt, ptc, transposed,
+                        )
 
-    if not witnesses:
-        return values, {}
-    # Where everything ties at 0: the canonical smallest nontrivial pair.
-    zero = EventPair.of((0,), (0,)) if n_rows >= 2 and n_cols >= 2 else EventPair()
-    return values, {k: best[k][1] if values[k] > 0.0 else zero for k in kinds}
+    wit: dict[str, list] = {}
+    if witnesses:
+        # Where everything ties at 0: the canonical smallest nontrivial pair.
+        zero = EventPair.of((0,), (0,)) if n_rows >= 2 and n_cols >= 2 else EventPair()
+        for k in kinds:
+            wit[k] = [b[1] if v > 0.0 else zero for b, v in zip(best[k], values[k])]
+    if entries.ndim == 2:
+        one = {k: w[0] for k, w in wit.items()} if witnesses else {}
+        return {k: v[0] for k, v in values.items()}, one
+    return values, wit
 
 
-def _batch_witness(
-    kind: str, stat: np.ndarray, floor: float, members: np.ndarray, p_s: np.ndarray,
-    p_sc: np.ndarray, ranked: np.ndarray, pt: np.ndarray, ptc: np.ndarray, transposed: bool,
-) -> tuple[tuple, EventPair, float]:
-    """(key, pair, cell statistic) of the minimal-key cell with ``stat >= floor``."""
+def _best_witnesses(
+    kind: str, best: list, at: list, cmaxes: list, tops: list, stat: np.ndarray,
+    members: np.ndarray, p_s: np.ndarray, p_sc: np.ndarray, pos: np.ndarray, order: np.ndarray,
+    pt: np.ndarray, ptc: np.ndarray, transposed: bool,
+) -> None:
+    """Update ``best[i]``, (key, pair, cell statistic), for the matrices ``at`` of a batch.
+
+    A matrix whose batch maximum ``cmax`` ties its running maximum ``top``
+    offers its minimal-key cell with stat >= top * ``_TIE_FRACTION``; rows
+    of ``stat`` are (matrix, class) pairs, and ``order`` ranks atoms ``pos``.
+    """
+    floor = np.array([top * _TIE_FRACTION for top in tops])
+    held = np.array([cmax > 0.0 and cmax >= f for cmax, f in zip(cmaxes, floor.tolist())])
+    if not held.any():
+        return
+    cells = (len(at), len(members), -1)
+    stat, pt, ptc, order = (a.reshape(cells) for a in (stat, pt, ptc, order))
+    p_s, p_sc = p_s.reshape(cells[:2]), p_sc.reshape(cells[:2])
 
     def min_size(na, nb, pa, pb):
         take_a, take_b = _attaining(kind, pa, pb)
         return np.where(take_a & take_b, np.minimum(na, nb), np.where(take_a, na, nb))
 
-    b, k = np.nonzero(stat >= floor)
+    inst, b, k = np.nonzero((stat >= floor[:, None, None]) & held[:, None, None])
     pc = members[b].sum(axis=1)
-    size_s = min_size(pc, members.shape[1] - pc, p_s[b], p_sc[b])
-    size_t = min_size(k + 1, ranked.shape[1] - 1 - k, pt[b, k], ptc[b, k])
+    size_s = min_size(pc, members.shape[1] - pc, p_s[inst, b], p_sc[inst, b])
+    size_t = min_size(k + 1, pos.size - 1 - k, pt[inst, b, k], ptc[inst, b, k])
     size_rows, size_cols = (size_t, size_s) if transposed else (size_s, size_t)
-    keep = size_rows == size_rows.min()
-    keep &= size_cols == size_cols[keep].min()
+    # Keep each matrix's cells of smallest |rows|, then smallest |cols|.
+    code = size_rows * (members.shape[1] + pos.size) + size_cols
+    least = np.full(len(stat), code.max())
+    np.minimum.at(least, inst, code)
+    keep = code == least[inst]
 
-    best: tuple[tuple, EventPair, float] | None = None
-    for bi, ki in zip(b[keep].tolist(), k[keep].tolist()):
+    found: list = [None] * len(at)
+    for i, bi, ki in zip(inst[keep].tolist(), b[keep].tolist(), k[keep].tolist()):
         mask = members[bi]
+        ranked = pos[order[i, bi]].tolist()
         s_sides = (_indices_tuple(mask), _indices_tuple(~mask))
-        t_sides = (
-            tuple(sorted(ranked[bi, : ki + 1].tolist())),
-            tuple(sorted(ranked[bi, ki + 1 :].tolist())),
-        )
-        s_take = _attaining(kind, p_s[bi], p_sc[bi])
-        t_take = _attaining(kind, pt[bi, ki], ptc[bi, ki])
+        t_sides = (tuple(sorted(ranked[: ki + 1])), tuple(sorted(ranked[ki + 1 :])))
+        s_take = _attaining(kind, p_s[i, bi], p_sc[i, bi])
+        t_take = _attaining(kind, pt[i, bi, ki], ptc[i, bi, ki])
         for s in (m for m, take in zip(s_sides, s_take) if take):
             for t in (m for m, take in zip(t_sides, t_take) if take):
                 rows, cols = (t, s) if transposed else (s, t)
                 key = (len(rows), len(cols), rows, cols)
-                if best is None or key < best[0]:
-                    best = (key, EventPair.of(rows, cols), float(stat[bi, ki]))
-    assert best is not None
-    return best
+                if found[i] is None or key < found[i][0]:
+                    found[i] = (key, EventPair.of(rows, cols), float(stat[i, bi, ki]))
+    for j, hit in enumerate(found):
+        old = best[at[j]]
+        if hit is not None and (old is None or old[2] < floor[j] or hit[0] < old[0]):
+            best[at[j]] = hit
 
 
 # ---------------------------------------------------------------------------
@@ -530,31 +580,37 @@ def event_measure(M: JointPMF, kind: str, mode: str = "auto") -> EventMeasure:
 def _witnessed(
     M: JointPMF, kinds: Sequence[str], mode: str
 ) -> tuple[dict[str, float], dict[str, EventPair], str]:
-    """Suprema of ``kinds``, witnesses, and the mode ``mode`` resolved to.
-
-    Applies the witness rule of the module docstring, evaluating each
-    witness's statistic once.  Exact values are quoted at the witness
-    because the scan and the single-pair evaluation follow different float
-    paths: quoting keeps witness fidelity exact at every magnitude.
-    """
+    """Suprema of ``kinds``, witnesses, and the mode ``mode`` resolved to."""
     exact = _use_exact(M, mode)
-    used = "exact" if exact else "heuristic"
     if exact:
         values, wit = _exact_scan(M.entries, kinds, witnesses=True)
     else:
         values, wit = {}, {}
         for k in kinds:
             values[k], wit[k] = _heuristic_scan(M.entries, k)
-    for k in kinds:
+    return _quoted(M, values, wit, exact), wit, "exact" if exact else "heuristic"
+
+
+def _quoted(
+    M: JointPMF, values: dict[str, float], wit: dict[str, EventPair], exact: bool
+) -> dict[str, float]:
+    """``values`` under the witness rule of the module docstring.
+
+    Evaluates each witness's statistic once.  Exact values are quoted at the
+    witness because the scan and the single-pair evaluation follow different
+    float paths: quoting keeps witness fidelity exact at every magnitude.
+    """
+    for k, value in values.items():
         quoted = event_statistic(M, wit[k], k)
-        _require_finite(k, values[k], quoted)
-        if abs(quoted - values[k]) > WITNESS_TOL * max(1.0, abs(quoted)):
+        _require_finite(k, value, quoted)
+        if abs(quoted - value) > WITNESS_TOL * max(1.0, abs(quoted)):
+            used = "exact" if exact else "heuristic"
             raise InvariantViolation(
-                f"{k} witness reproduces {quoted!r}, the {used} scan found {values[k]!r}"
+                f"{k} witness reproduces {quoted!r}, the {used} scan found {value!r}"
             )
         if exact:
             values[k] = quoted
-    return values, wit, used
+    return values
 
 
 def _require_finite(kind: str, value: float, *more: float) -> None:
@@ -599,32 +655,63 @@ def rho(M: JointPMF) -> RhoResult:
 
 def _spectral_rho(entries: np.ndarray) -> RhoResult:
     """:func:`rho` of a validated joint pmf array, with every check."""
+    parts = _normalized(entries)
+    return _checked_rho(*parts, *_svd(parts[0]))
+
+
+def _spectral_rhos(matrices: Sequence[np.ndarray]) -> list[RhoResult]:
+    """:func:`_spectral_rho` of each array.  Matrices whose normalized forms
+    share a shape share one stacked SVD, which runs LAPACK per matrix."""
+    parts = [_normalized(entries) for entries in matrices]
+    groups: dict[tuple, list[int]] = {}
+    for i, part in enumerate(parts):
+        groups.setdefault(part[0].shape, []).append(i)
+    out: list = [None] * len(parts)
+    for group in groups.values():
+        for i, svd in zip(group, zip(*_svd(np.array([parts[i][0] for i in group])))):
+            out[i] = _checked_rho(*parts[i], *svd)
+    return out
+
+
+def _normalized(entries: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(q, sqrt r, sqrt c, positive rows, positive columns) of a joint pmf
+    array, where q is the array normalized by its marginals, zero-mass atoms
+    removed: (1, sqrt r, sqrt c) is its top singular triple."""
     r = entries.sum(axis=1)
     c = entries.sum(axis=0)
     rpos = r > 0.0
     cpos = c > 0.0
-    sub = entries[rpos][:, cpos]
-    f = np.zeros(r.size)
-    g = np.zeros(c.size)
-
     sqrt_r = np.sqrt(r[rpos])
     sqrt_c = np.sqrt(c[cpos])
     # Two-stage division: sqrt(outer(r, c)) can underflow to 0 for
     # near-degenerate atoms even though every quotient is bounded by 1.
-    q = (sub / sqrt_r[:, None]) / sqrt_c[None, :]
+    q = (entries[rpos][:, cpos] / sqrt_r[:, None]) / sqrt_c[None, :]
     if not np.isfinite(q).all():
         raise ConvergenceFailure("normalized matrix has non-finite entries")
+    return q, sqrt_r, sqrt_c, rpos, cpos
+
+
+def _svd(q: np.ndarray) -> tuple[np.ndarray, ...]:
     try:
-        u_mat, s, vt = np.linalg.svd(q)
+        return np.linalg.svd(q)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
 
+
+def _checked_rho(
+    q: np.ndarray, sqrt_r: np.ndarray, sqrt_c: np.ndarray, rpos: np.ndarray, cpos: np.ndarray,
+    u_mat: np.ndarray, s: np.ndarray, vt: np.ndarray,
+) -> RhoResult:
+    """rho, its score witness and every check, from :func:`_normalized` and
+    the SVD of q."""
+    f = np.zeros(rpos.size)
+    g = np.zeros(cpos.size)
     sigma1 = float(s[0]) if s.size else 0.0
     if abs(sigma1 - 1.0) > 1e-9:
         raise InvariantViolation(
             f"top singular value {sigma1!r} of the normalized matrix is not 1"
         )
-    if min(sub.shape) < 2:
+    if min(q.shape) < 2:
         spectral = RhoSpectral(sigma1=sigma1, sigma2=0.0, residual=0.0)
         return RhoResult(value=0.0, spectral=spectral, witness=(f, g))
 
@@ -635,10 +722,9 @@ def _spectral_rho(entries: np.ndarray) -> RhoResult:
     v2 = vt[1]
     if abs(float(u2 @ sqrt_r)) > _TOP_SPACE_TOL:
         u2, v2 = _centered_top_pair(q, u_mat[:, :2], sqrt_r)
-    residual = max(
-        float(np.linalg.norm(q @ v2 - sigma2 * u2)),
-        float(np.linalg.norm(q.T @ u2 - sigma2 * v2)),
-    )
+    # Euclidean norms, formed as np.linalg.norm forms them: sqrt(x . x).
+    left, right = q @ v2 - sigma2 * u2, q.T @ u2 - sigma2 * v2
+    residual = max(math.sqrt(left @ left), math.sqrt(right @ right))
     if residual > DEFAULT_RHO_TOL:
         raise ConvergenceFailure(f"singular-pair residual {residual} exceeds {DEFAULT_RHO_TOL}")
     f[rpos] = u2 / sqrt_r
@@ -706,10 +792,14 @@ def full_report(M: JointPMF, mode: str = "auto") -> DependenceReport:
     indicate a bug, not bad input).
     """
     values, wit, used = _witnessed(M, KINDS, mode)
-    flags = dict.fromkeys(KINDS, used)
-    rho_res = rho(M)
-    flags["rho"] = "exact"
+    return _report(M, values, wit, used, rho(M))
 
+
+def _report(
+    M: JointPMF, values: dict[str, float], wit: dict[str, EventPair], used: str, rho_res: RhoResult
+) -> DependenceReport:
+    flags = dict.fromkeys(KINDS, used)
+    flags["rho"] = "exact"
     report = DependenceReport(
         psi=values["psi"],
         lam=values["lambda"],

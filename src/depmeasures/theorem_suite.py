@@ -22,20 +22,23 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, OutOfRange, ShapeError, TooLargeForExact
-from .joint_pmf import EventPair, JointPMF, kron, kron_all, random_joint
-from .measures import CHAIN_TOL, DependenceReport, full_report, rho as _rho, within_exact_cap
+from .errors import DependenceError, InvariantViolation, OutOfRange, ShapeError, TooLargeForExact
+from .joint_pmf import STATE_CAP, EventPair, JointPMF, kron, kron_all, random_joint
+from .measures import CHAIN_TOL, KINDS, DependenceReport, RhoResult, full_report, within_exact_cap
+from .measures import _exact_scan, _quoted, _report, _spectral_rhos, rho as _rho
 
 BOUND_TOL = 1e-9
 SPECTRAL_EQ_TOL = 1e-8
 # Results kept per check name in a fuzz report's near-sharp list.
 _NEAR_SHARP_PER_CHECK = 10
+# Instances fuzz draws, reports and ranks at a time: its memory follows this.
+_FUZZ_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -304,61 +307,102 @@ def fuzz(
     Instances cycle deterministically through the shape x style grid; per
     instance seeds derive from the master seed, so identical arguments give
     identical reports.  Failing results re-embed their matrices in the
-    digest for replay.
+    digest for replay.  ``count`` is at most ``STATE_CAP``.  Instances are
+    drawn, reported (see :func:`_chunk_parts`) and ranked a chunk at a time.
     """
     shapes = [(int(a), int(b)) for a, b in shapes]
     if not shapes or not styles:
         raise OutOfRange("need at least one shape and one style")
     if count < 0:
         raise OutOfRange(f"count must be >= 0, got {count}")
+    if count > STATE_CAP:
+        raise OutOfRange(f"count must be at most {STATE_CAP}, got {count}")
     for n_rows, n_cols in shapes:
         if not within_exact_cap(n_rows, n_cols):
             raise TooLargeForExact(f"shape {n_rows}x{n_cols} beyond exact caps")
     master = np.random.default_rng(int(seed))
-    inst_seeds = master.integers(0, 2**63 - 1, size=(max(count, 1), 2))
-
     grid = [(sh, st) for st in styles for sh in shapes]
-    results: list[CheckResult] = []
+    total = 0
     failures: list[CheckResult] = []
+    near: list[CheckResult] = []
 
-    for idx in range(count):
-        (n_rows, n_cols), style = grid[idx % len(grid)]
-        seed_a, seed_b = int(inst_seeds[idx, 0]), int(inst_seeds[idx, 1])
-        m_a = random_joint(n_rows, n_cols, seed_a, style)
-        digest = {
-            "index": idx,
-            "shape": [n_rows, n_cols],
-            "style": style,
-            "seed": seed_a,
-        }
-        rep = full_report(m_a, mode="exact")
-        batch = _chain_results(rep, digest)
-        batch.append(_peyre_result(rep, digest))
-        if n_rows == 2:
-            batch.append(_two_atom_result(rep, digest))
-        m_b: JointPMF | None = None
-        if include_pair_checks:
-            m_b = random_joint(n_rows, n_cols, seed_b, style)
-            pair_digest = dict(digest)
-            pair_digest["seed2"] = seed_b
-            joined = kron(m_a, m_b)
-            if within_exact_cap(*joined.shape):
-                repk = full_report(joined, mode="exact")
-                rep_b = full_report(m_b, mode="exact")
-                batch.extend(_csaki_results(rep.rho, rep_b.rho, repk.rho, pair_digest))
-                batch.extend(_cousin_results(repk, rep, rep_b, pair_digest))
-            else:
-                rho_b, rho_k = _rho(m_b).value, _rho(joined).value
-                batch.extend(_csaki_results(rep.rho, rho_b, rho_k, pair_digest))
-        results.extend(batch)
-        for res in batch:
-            if not res.passed:
-                embedded = dict(res.instance_digest, matrix=m_a.to_jsonable()["matrix"])
-                if m_b is not None and "seed2" in embedded:
-                    embedded["matrix2"] = m_b.to_jsonable()["matrix"]
-                failures.append(dataclasses.replace(res, instance_digest=embedded))
+    for lo in range(0, count, _FUZZ_CHUNK):
+        # Drawn chunk by chunk, the seeds are the rows of one (count, 2) draw.
+        seeds = master.integers(0, 2**63 - 1, size=(min(_FUZZ_CHUNK, count - lo), 2))
+        cases = []
+        for idx, (seed_a, seed_b) in enumerate(seeds.tolist(), start=lo):
+            (n_rows, n_cols), style = grid[idx % len(grid)]
+            m_a = random_joint(n_rows, n_cols, seed_a, style)
+            m_b = random_joint(n_rows, n_cols, seed_b, style) if include_pair_checks else None
+            digest = {"index": idx, "shape": [n_rows, n_cols], "style": style, "seed": seed_a}
+            joined = kron(m_a, m_b) if m_b is not None else None
+            cases.append((digest, seed_b, m_a, m_b, joined))
+        results: list[CheckResult] = []
+        for (digest, seed_b, m_a, m_b, joined), parts in zip(cases, _chunk_parts(cases)):
+            if any(part is None for part in parts[: 3 if m_b is not None else 1]):
+                parts = _instance_parts(m_a, m_b, joined)
+            rep, part_b, part_k = parts
+            batch = _chain_results(rep, digest)
+            batch.append(_peyre_result(rep, digest))
+            if m_a.n_rows == 2:
+                batch.append(_two_atom_result(rep, digest))
+            if m_b is not None:
+                pair_digest = dict(digest, seed2=seed_b)
+                if isinstance(part_b, DependenceReport):
+                    batch.extend(_csaki_results(rep.rho, part_b.rho, part_k.rho, pair_digest))
+                    batch.extend(_cousin_results(part_k, rep, part_b, pair_digest))
+                else:
+                    batch.extend(_csaki_results(rep.rho, part_b.value, part_k.value, pair_digest))
+            results.extend(batch)
+            for res in batch:
+                if not res.passed:
+                    embedded = dict(res.instance_digest, matrix=m_a.to_jsonable()["matrix"])
+                    if m_b is not None and "seed2" in embedded:
+                        embedded["matrix2"] = m_b.to_jsonable()["matrix"]
+                    failures.append(dataclasses.replace(res, instance_digest=embedded))
+        total += len(results)
+        near = _near_sharp(near + results)
 
-    # The _NEAR_SHARP_PER_CHECK smallest slacks of each check, in one sort.
+    return FuzzReport(total=total, failures=failures, near_sharp=near, rng_seed=int(seed))
+
+
+def _chunk_parts(cases: list[tuple]) -> list[list]:
+    """Each case's [report, partner's part, join's part], None where a check fails.
+
+    A part is an exact report, or a :func:`rho` result where the join is
+    beyond the exact caps; parts of one kind and shape form one stack.
+    """
+    stacks: defaultdict = defaultdict(list)
+    for c, (_, _, m_a, m_b, joined) in enumerate(cases):
+        stacks[True, m_a.shape].append((c, 0, m_a))
+        if m_b is not None:
+            exact = within_exact_cap(*joined.shape)
+            stacks[exact, m_b.shape].append((c, 1, m_b))
+            stacks[exact, joined.shape].append((c, 2, joined))
+    parts: list[list] = [[None, None, None] for _ in cases]
+    for (exact, _), jobs in stacks.items():
+        Ms = [M for _, _, M in jobs]
+        done = _exact_reports(Ms) if exact else _stacked_rhos(Ms)
+        for (c, slot, _), res in zip(jobs, done):
+            parts[c][slot] = res
+    return parts
+
+
+def _instance_parts(m_a: JointPMF, m_b: JointPMF | None, joined: JointPMF | None) -> tuple:
+    """One case's parts through the per-matrix calls, in the order of the
+    per-instance loop the stacks replace, so a failure raises as it did there."""
+    rep = full_report(m_a, mode="exact")
+    if m_b is None:
+        return rep, None, None
+    if within_exact_cap(*joined.shape):
+        repk = full_report(joined, mode="exact")
+        return rep, full_report(m_b, mode="exact"), repk
+    return rep, _rho(m_b), _rho(joined)
+
+
+def _near_sharp(results: list[CheckResult]) -> list[CheckResult]:
+    """The ``_NEAR_SHARP_PER_CHECK`` smallest slacks of each check, sorted by
+    (slack, check name, index): a total order, so cuts chunk by chunk agree."""
     results.sort(key=lambda res: (res.slack, res.check_name, res.instance_digest["index"]))
     kept: Counter = Counter()
     near: list[CheckResult] = []
@@ -366,7 +410,27 @@ def fuzz(
         if kept[res.check_name] < _NEAR_SHARP_PER_CHECK:
             kept[res.check_name] += 1
             near.append(res)
+    return near
 
-    return FuzzReport(
-        total=len(results), failures=failures, near_sharp=near, rng_seed=int(seed)
-    )
+
+def _exact_reports(Ms: Sequence[JointPMF]) -> list[DependenceReport | None]:
+    """``full_report(M, "exact")`` of same-shape matrices, scanned and decomposed as
+    one stack, each quoted and checked on its own; None where a check fails."""
+    scanned, wits = _exact_scan(np.array([M.entries for M in Ms]), KINDS, witnesses=True)
+    out: list[DependenceReport | None] = []
+    for i, (M, rho_res) in enumerate(zip(Ms, _stacked_rhos(Ms))):
+        wit = {k: wits[k][i] for k in KINDS}
+        try:
+            values = _quoted(M, {k: v[i] for k, v in scanned.items()}, wit, True)
+            out.append(None if rho_res is None else _report(M, values, wit, "exact", rho_res))
+        except DependenceError:
+            out.append(None)
+    return out
+
+
+def _stacked_rhos(Ms: Sequence[JointPMF]) -> list[RhoResult | None]:
+    """:func:`rho` of each matrix, SVDs stacked; all None where a check fails."""
+    try:
+        return _spectral_rhos([M.entries for M in Ms])
+    except DependenceError:
+        return [None] * len(Ms)

@@ -144,6 +144,13 @@ class TestChecksAndFuzz:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: count must be >= 0")
 
+    def test_fuzz_count_beyond_the_state_cap_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert run(["fuzz", "--count", "1000000000000", "--shape", "2x2", "--seed", "1",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: count must be at most 10000000")
+
 
 class TestSearchCli:
     def test_search_rho_json(self, tmp_path):

@@ -137,6 +137,28 @@ class TestMarginals:
             event_statistic(m, pair, "tau")
         assert issubclass(IndexOutOfRange, OutOfRange)
 
+    @pytest.mark.parametrize("pair", [
+        EventPair(frozenset({0.5}), frozenset()),
+        EventPair(frozenset({1}), frozenset({1.0})),
+        EventPair(frozenset({True}), frozenset({0})),
+        EventPair(frozenset({0}), frozenset({np.bool_(True)})),
+        EventPair(frozenset({"1"}), frozenset({0})),
+    ], ids=["half", "float-col", "bool", "numpy-bool", "text"])
+    def test_index_that_is_not_an_integer(self, pair):
+        # True once read as the whole row event: P(A) = 1, tau = 0
+        m = random_joint(2, 3, seed=1)
+        with pytest.raises(IndexOutOfRange, match="is not an integer"):
+            event_prob(m, pair)
+        with pytest.raises(IndexOutOfRange, match="is not an integer"):
+            event_statistic(m, pair, "tau")
+
+    def test_numpy_integer_indices(self):
+        m = random_joint(2, 3, seed=1)
+        plain = EventPair.of((1,), (0, 2))
+        numpy = EventPair(frozenset({np.int64(1)}), frozenset({np.int32(0), np.uint8(2)}))
+        assert event_prob(m, numpy) == event_prob(m, plain)
+        assert event_statistic(m, numpy, "tau") == event_statistic(m, plain, "tau")
+
 
 class TestKron:
     def test_uniform_product(self):
