@@ -43,6 +43,7 @@ from .errors import (
 from .joint_pmf import (
     STATE_CAP,
     JointPMF,
+    _check_seed,
     from_jsonable,
     from_matrix,
     holds_bool_or_text,
@@ -453,7 +454,7 @@ def theorem6_corr(
             raise TooFewSamples(f"monte_carlo needs >= {MC_MIN_SAMPLES} samples")
         if seed is None:
             raise PreconditionFailed("monte_carlo requires a seed")
-        value, stderr = _mc_corr(sb, n, samples, int(seed))
+        value, stderr = _mc_corr(sb, n, samples, _check_seed(seed))
         value = min(max(value, -1.0), 1.0)
         return CltEstimate(
             n=n, value=value, stderr=stderr, method="monte_carlo", samples=samples

@@ -214,7 +214,10 @@ def marginals(M: JointPMF) -> Marginals:
 
 
 def _check_index(i: int, n: int, side: str) -> int:
-    i = int(i)
+    """The index rule: an atom index is an integer (Python or numpy, booleans
+    excluded) in [0, n), else IndexOutOfRange."""
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+        raise IndexOutOfRange(f"{side} index {i!r} is not an integer")
     if not 0 <= i < n:
         raise IndexOutOfRange(f"{side} index {i} outside [0, {n})")
     return i
@@ -223,9 +226,8 @@ def _check_index(i: int, n: int, side: str) -> int:
 def event_masks(M: JointPMF, e: EventPair) -> tuple[np.ndarray, np.ndarray]:
     """Boolean row and column masks of an event pair's index sets.
 
-    The one place an event pair meets the matrix shape: an index that is
-    not an integer (Python or numpy, booleans excluded) or lies outside it
-    raises IndexOutOfRange.
+    The one place an event pair meets the matrix shape: each index follows
+    the index rule of :func:`_check_index`.
     """
     return (
         _index_mask(e.row_set, M.n_rows, "row"),
@@ -236,11 +238,7 @@ def event_masks(M: JointPMF, e: EventPair) -> tuple[np.ndarray, np.ndarray]:
 def _index_mask(indices: Iterable, n: int, side: str) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     for i in indices:
-        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
-            raise IndexOutOfRange(f"{side} index {i!r} is not an integer")
-        if not 0 <= i < n:
-            raise IndexOutOfRange(f"{side} index {i} outside [0, {n})")
-        mask[i] = True
+        mask[_check_index(i, n, side)] = True
     return mask
 
 
@@ -295,6 +293,15 @@ def kron_all(Ms: Sequence[JointPMF]) -> JointPMF:
     return out
 
 
+def _check_seed(seed: int) -> int:
+    """The seed rule: a seed is a non-negative integer, as numpy's generators
+    require; a negative one raises OutOfRange."""
+    seed = int(seed)
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def random_joint(
     n_rows: int,
     n_cols: int,
@@ -313,7 +320,7 @@ def random_joint(
         raise IndexOutOfRange(f"shape must be at least 1x1, got {n_rows}x{n_cols}")
     if style not in RANDOM_STYLES:
         raise OutOfRange(f"unknown style {style!r}; choose from {RANDOM_STYLES}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_check_seed(seed))
     if style == "dense":
         arr = rng.random((n_rows, n_cols))
     elif style == "sparse":

@@ -23,13 +23,15 @@ no state: ``_class_members`` builds each batch's members from their class
 numbers, so its memory is O(``_BATCH_CLASSES`` x atoms), also for a stack
 of matrices scanned (and their rho SVDs run) in one call: a stacked batch
 holds at most ``_BATCH_CLASSES`` (matrix, class, atom) cells, or one
-matrix.  Exact mode runs up to ``EXACT_CAP`` (14) atoms on each side:
-:func:`within_exact_cap` is the one rule for it, which every public way
-into the exact scan applies through one gate and the fuzz harness and the
-search reuse.  Beyond the cap an alternating threshold-ascent heuristic
-returns certified lower bounds, handing the split kernel all its restarts
-at once.  All three statistics, of one pair or of many splits, come from
-one elementwise kernel, ``_statistic``.
+matrix.  The stacked kernels check nothing: their caller quotes and checks
+each matrix's parts on its own, as :func:`full_report` does.  Exact mode
+runs up to ``EXACT_CAP`` (14) atoms on each side: :func:`within_exact_cap`
+is the one rule for it, which every public way into the exact scan applies
+through one gate and the fuzz harness and the search reuse.  Beyond the
+cap an alternating threshold-ascent heuristic returns certified lower
+bounds, handing the split kernel all its restarts at once.  All three
+statistics, of one pair or of many splits, come from one elementwise
+kernel, ``_statistic``.
 
 Witness rule: in both modes the statistic of each witness pair, by
 :func:`event_statistic`, must agree with the scan's or the heuristic's raw
@@ -277,6 +279,10 @@ _BATCH_CLASSES = 2048
 # Value-only scans enumerating at most this many atoms (127 classes; the
 # split side is within the cap) compare atoms pairwise, not by sorting:
 # faster there on a 2-core x86 VM, even at 9 atoms and slower from 10 on.
+# The ranked path alone would do, but it costs value-only tau scans of 2x8,
+# 3x3 and 4x4 matrices a fifth to a third more (min of 75 calls), and its
+# values differ from these in the last bits (up to 2.7e-15 relative) on
+# 15-27% of them: search payloads, whose base tau scans run here, would change.
 _LEAN_SIDE = 8
 # Statistics within this fraction of the maximum tie with it; witnesses are
 # the smallest key among ties, so rounding does not pick among exact ties.
@@ -659,9 +665,10 @@ def _spectral_rho(entries: np.ndarray) -> RhoResult:
     return _checked_rho(*parts, *_svd(parts[0]))
 
 
-def _spectral_rhos(matrices: Sequence[np.ndarray]) -> list[RhoResult]:
-    """:func:`_spectral_rho` of each array.  Matrices whose normalized forms
-    share a shape share one stacked SVD, which runs LAPACK per matrix."""
+def _spectral_parts(matrices: Sequence[np.ndarray]) -> list[tuple]:
+    """:func:`_normalized` parts and SVD factors of each array, for :func:`_checked_rho`.
+    Matrices whose normalized forms share a shape share one stacked SVD,
+    which runs LAPACK per matrix: each gets the bits it gets alone."""
     parts = [_normalized(entries) for entries in matrices]
     groups: dict[tuple, list[int]] = {}
     for i, part in enumerate(parts):
@@ -669,7 +676,7 @@ def _spectral_rhos(matrices: Sequence[np.ndarray]) -> list[RhoResult]:
     out: list = [None] * len(parts)
     for group in groups.values():
         for i, svd in zip(group, zip(*_svd(np.array([parts[i][0] for i in group])))):
-            out[i] = _checked_rho(*parts[i], *svd)
+            out[i] = (*parts[i], *svd)
     return out
 
 

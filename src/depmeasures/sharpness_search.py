@@ -44,7 +44,7 @@ import numpy as np
 
 from .constructions import _indicator_corr, score_sum_law, yy_pair
 from .errors import InvariantViolation, OutOfRange
-from .joint_pmf import JointPMF, _kron_entries, _validated, from_matrix
+from .joint_pmf import JointPMF, _check_seed, _kron_entries, _validated, from_matrix
 from .measures import (
     CHAIN_TOL,
     DependenceReport,
@@ -102,6 +102,7 @@ class SearchConfig:
             raise OutOfRange(f"restarts must be >= 1, got {self.restarts}")
         if not self.step_scale > 0.0:
             raise OutOfRange(f"step_scale must be positive, got {self.step_scale!r}")
+        _check_seed(self.seed)
 
     def to_jsonable(self) -> dict:
         return {

@@ -28,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DependenceError, InvariantViolation, OutOfRange, ShapeError, TooLargeForExact
-from .joint_pmf import STATE_CAP, EventPair, JointPMF, kron, kron_all, random_joint
+from .errors import InvariantViolation, OutOfRange, ShapeError, TooLargeForExact
+from .joint_pmf import STATE_CAP, EventPair, JointPMF, _check_seed, kron, kron_all, random_joint
 from .measures import CHAIN_TOL, KINDS, DependenceReport, RhoResult, full_report, within_exact_cap
-from .measures import _exact_scan, _quoted, _report, _spectral_rhos, rho as _rho
+from .measures import _checked_rho, _exact_scan, _quoted, _report, _spectral_parts, rho as _rho
 
 BOUND_TOL = 1e-9
 SPECTRAL_EQ_TOL = 1e-8
@@ -308,7 +308,9 @@ def fuzz(
     instance seeds derive from the master seed, so identical arguments give
     identical reports.  Failing results re-embed their matrices in the
     digest for replay.  ``count`` is at most ``STATE_CAP``.  Instances are
-    drawn, reported (see :func:`_chunk_parts`) and ranked a chunk at a time.
+    drawn, scored and ranked a chunk at a time: the arithmetic runs stacked
+    (:func:`_chunk_parts`), then every check runs per matrix in the order of
+    one report at a time, so the first failing check raises at its turn.
     """
     shapes = [(int(a), int(b)) for a, b in shapes]
     if not shapes or not styles:
@@ -320,7 +322,7 @@ def fuzz(
     for n_rows, n_cols in shapes:
         if not within_exact_cap(n_rows, n_cols):
             raise TooLargeForExact(f"shape {n_rows}x{n_cols} beyond exact caps")
-    master = np.random.default_rng(int(seed))
+    master = np.random.default_rng(_check_seed(seed))
     grid = [(sh, st) for st in styles for sh in shapes]
     total = 0
     failures: list[CheckResult] = []
@@ -337,22 +339,23 @@ def fuzz(
             digest = {"index": idx, "shape": [n_rows, n_cols], "style": style, "seed": seed_a}
             joined = kron(m_a, m_b) if m_b is not None else None
             cases.append((digest, seed_b, m_a, m_b, joined))
+        parts = _chunk_parts(cases)
         results: list[CheckResult] = []
-        for (digest, seed_b, m_a, m_b, joined), parts in zip(cases, _chunk_parts(cases)):
-            if any(part is None for part in parts[: 3 if m_b is not None else 1]):
-                parts = _instance_parts(m_a, m_b, joined)
-            rep, part_b, part_k = parts
+        for digest, seed_b, m_a, m_b, joined in cases:
+            rep = _checked(m_a, parts)
             batch = _chain_results(rep, digest)
             batch.append(_peyre_result(rep, digest))
             if m_a.n_rows == 2:
                 batch.append(_two_atom_result(rep, digest))
             if m_b is not None:
                 pair_digest = dict(digest, seed2=seed_b)
-                if isinstance(part_b, DependenceReport):
-                    batch.extend(_csaki_results(rep.rho, part_b.rho, part_k.rho, pair_digest))
-                    batch.extend(_cousin_results(part_k, rep, part_b, pair_digest))
+                if within_exact_cap(*joined.shape):  # join, then partner
+                    repk, rep_b = _checked(joined, parts), _checked(m_b, parts)
+                    batch.extend(_csaki_results(rep.rho, rep_b.rho, repk.rho, pair_digest))
+                    batch.extend(_cousin_results(repk, rep, rep_b, pair_digest))
                 else:
-                    batch.extend(_csaki_results(rep.rho, part_b.value, part_k.value, pair_digest))
+                    rho_b, rho_k = _checked(m_b, parts).value, _checked(joined, parts).value
+                    batch.extend(_csaki_results(rep.rho, rho_b, rho_k, pair_digest))
             results.extend(batch)
             for res in batch:
                 if not res.passed:
@@ -366,38 +369,38 @@ def fuzz(
     return FuzzReport(total=total, failures=failures, near_sharp=near, rng_seed=int(seed))
 
 
-def _chunk_parts(cases: list[tuple]) -> list[list]:
-    """Each case's [report, partner's part, join's part], None where a check fails.
-
-    A part is an exact report, or a :func:`rho` result where the join is
-    beyond the exact caps; parts of one kind and shape form one stack.
+def _chunk_parts(cases: list[tuple]) -> dict:
+    """The unchecked parts of every matrix of a chunk, keyed by the matrix: its
+    exact scan (None for a partner and join beyond the exact caps) and its
+    :func:`_spectral_parts` entry.  Matrices of one kind and shape form a stack.
     """
     stacks: defaultdict = defaultdict(list)
-    for c, (_, _, m_a, m_b, joined) in enumerate(cases):
-        stacks[True, m_a.shape].append((c, 0, m_a))
+    for _, _, m_a, m_b, joined in cases:
+        stacks[True, m_a.shape].append(m_a)
         if m_b is not None:
             exact = within_exact_cap(*joined.shape)
-            stacks[exact, m_b.shape].append((c, 1, m_b))
-            stacks[exact, joined.shape].append((c, 2, joined))
-    parts: list[list] = [[None, None, None] for _ in cases]
-    for (exact, _), jobs in stacks.items():
-        Ms = [M for _, _, M in jobs]
-        done = _exact_reports(Ms) if exact else _stacked_rhos(Ms)
-        for (c, slot, _), res in zip(jobs, done):
-            parts[c][slot] = res
+            stacks[exact, m_b.shape].append(m_b)
+            stacks[exact, joined.shape].append(joined)
+    parts = {}
+    for (exact, _), Ms in stacks.items():
+        entries = [M.entries for M in Ms]
+        values, wits = _exact_scan(np.array(entries), KINDS, witnesses=True) if exact else ({}, {})
+        for i, (M, spectral) in enumerate(zip(Ms, _spectral_parts(entries))):
+            scan = {k: v[i] for k, v in values.items()}, {k: w[i] for k, w in wits.items()}
+            parts[M] = (scan if exact else None, spectral)
     return parts
 
 
-def _instance_parts(m_a: JointPMF, m_b: JointPMF | None, joined: JointPMF | None) -> tuple:
-    """One case's parts through the per-matrix calls, in the order of the
-    per-instance loop the stacks replace, so a failure raises as it did there."""
-    rep = full_report(m_a, mode="exact")
-    if m_b is None:
-        return rep, None, None
-    if within_exact_cap(*joined.shape):
-        repk = full_report(joined, mode="exact")
-        return rep, full_report(m_b, mode="exact"), repk
-    return rep, _rho(m_b), _rho(joined)
+def _checked(M: JointPMF, parts: dict) -> DependenceReport | RhoResult:
+    """M's exact report with every check :func:`full_report` runs, in its
+    order, or its checked :func:`rho` where its parts hold no scan.  The
+    parts are consumed, so a chunk's memory falls as its checks run."""
+    scan, spectral = parts.pop(M)
+    if scan is None:
+        return _checked_rho(*spectral)
+    values, wit = scan
+    values = _quoted(M, values, wit, True)
+    return _report(M, values, wit, "exact", _checked_rho(*spectral))
 
 
 def _near_sharp(results: list[CheckResult]) -> list[CheckResult]:
@@ -412,25 +415,3 @@ def _near_sharp(results: list[CheckResult]) -> list[CheckResult]:
             near.append(res)
     return near
 
-
-def _exact_reports(Ms: Sequence[JointPMF]) -> list[DependenceReport | None]:
-    """``full_report(M, "exact")`` of same-shape matrices, scanned and decomposed as
-    one stack, each quoted and checked on its own; None where a check fails."""
-    scanned, wits = _exact_scan(np.array([M.entries for M in Ms]), KINDS, witnesses=True)
-    out: list[DependenceReport | None] = []
-    for i, (M, rho_res) in enumerate(zip(Ms, _stacked_rhos(Ms))):
-        wit = {k: wits[k][i] for k in KINDS}
-        try:
-            values = _quoted(M, {k: v[i] for k, v in scanned.items()}, wit, True)
-            out.append(None if rho_res is None else _report(M, values, wit, "exact", rho_res))
-        except DependenceError:
-            out.append(None)
-    return out
-
-
-def _stacked_rhos(Ms: Sequence[JointPMF]) -> list[RhoResult | None]:
-    """:func:`rho` of each matrix, SVDs stacked; all None where a check fails."""
-    try:
-        return _spectral_rhos([M.entries for M in Ms])
-    except DependenceError:
-        return [None] * len(Ms)

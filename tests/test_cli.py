@@ -327,6 +327,27 @@ def test_malformed_input_exits_2(tmp_path, capsys, text, command):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fuzz", "--count", "1", "--shape", "2x2"],
+        ["search", "rho", "--shape", "2x2", "--budget", "2", "--restarts", "1"],
+        ["theorem6", "--g=-1,1", "--h=-1,1", "--n", "4", "--method", "mc",
+         "--samples", "1000", "--base", "BASE"],
+    ],
+    ids=["fuzz", "search", "theorem6-mc"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    # numpy's generators reject negative seeds with a ValueError, once a traceback
+    base = tmp_path / "yy.json"
+    assert run(["yy", "--t", "0.5", "--out", str(base)]) == 0
+    command = [str(base) if arg == "BASE" else arg for arg in command]
+    out = tmp_path / "out.json"
+    assert run(command + ["--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -1")
+
+
 class TestExitCodes:
     def test_non_convergence_maps_to_exit_4(self, tmp_path, monkeypatch):
         import depmeasures.cli as cli

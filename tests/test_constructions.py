@@ -293,6 +293,11 @@ class TestTheorem6Corr:
         with pytest.raises(PreconditionFailed):
             theorem6_corr(sb, 4, method="monte_carlo", samples=5000)
 
+    def test_mc_negative_seed(self):
+        sb = pm_one_base(0.5)
+        with pytest.raises(OutOfRange, match="seed must be >= 0, got -5"):
+            theorem6_corr(sb, 4, method="monte_carlo", samples=5000, seed=-5)
+
     def test_mc_deterministic_and_accurate(self):
         sb = pm_one_base(0.5)
         a = theorem6_corr(sb, 8, method="monte_carlo", samples=200_000, seed=6)

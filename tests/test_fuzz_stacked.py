@@ -22,7 +22,7 @@ import depmeasures.theorem_suite as suite
 from depmeasures import from_matrix, kron, random_joint
 from depmeasures.errors import InvariantViolation, OutOfRange
 from depmeasures.joint_pmf import STATE_CAP
-from depmeasures.measures import KINDS, _exact_scan, _spectral_rho, _spectral_rhos
+from depmeasures.measures import KINDS, _checked_rho, _exact_scan, _spectral_parts, _spectral_rho
 
 import fuzz_oracle
 
@@ -133,11 +133,65 @@ def test_lowest_index_failure_raises_the_oracle_error(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
+def assert_same_first_error(**kwargs) -> str:
+    """Both paths raise InvariantViolation with one message; returns it."""
+    with pytest.raises(InvariantViolation) as want:
+        fuzz_oracle.fuzz(**kwargs)
+    with pytest.raises(InvariantViolation) as got:
+        suite.fuzz(**kwargs)
+    assert str(got.value) == str(want.value)
+    return str(want.value)
+
+
+def test_rho_failure_on_a_partner_raises_before_its_join(monkeypatch):
+    # 2x4 instances join to 4x16: beyond the cap, so partner and join are
+    # rho-only.  Every instance has rho <= 0.7; the first partner above it
+    # fails, and so would its join (rho of the join is the larger factor
+    # rho), but the partner's rho is checked first.
+    checked_rho = measures._checked_rho
+
+    def picky(q, *rest):
+        res = checked_rho(q, *rest)
+        if res.value > 0.7:
+            raise InvariantViolation(f"{q.shape} rho={res.value!r}")
+        return res
+
+    monkeypatch.setattr(measures, "_checked_rho", picky)
+    monkeypatch.setattr(suite, "_checked_rho", picky)
+    kwargs = dict(shapes=[(2, 4)], styles=STYLES, count=12, seed=1)
+    fuzz_oracle.fuzz(**kwargs, include_pair_checks=False)  # no instance fails
+    assert assert_same_first_error(**kwargs).startswith("(2, ")
+
+
+@pytest.mark.parametrize("fail_joins", [True, False])
+def test_report_failure_on_a_partner_raises_after_its_join(fail_joins, monkeypatch):
+    # Every 3x3 instance has tau <= 0.6; the first partner above it fails.
+    # Its 9x9 join, tau at least the partner's, is checked first: with joins
+    # failing too the join's error raises, else the partner's.
+    enforce = measures._enforce_report_invariants
+
+    def picky(M, rep):
+        if rep.tau > 0.6 and (fail_joins or M.n_rows != 9):
+            raise InvariantViolation(f"{M.shape} tau={rep.tau!r}")
+        enforce(M, rep)
+
+    monkeypatch.setattr(measures, "_enforce_report_invariants", picky)
+    kwargs = dict(shapes=[(3, 3)], styles=["dense"], count=12, seed=1)
+    fuzz_oracle.fuzz(**kwargs, include_pair_checks=False)  # no instance fails
+    message = assert_same_first_error(**kwargs)
+    assert message.startswith("(9, 9)" if fail_joins else "(3, 3)")
+
+
 def test_count_beyond_the_state_cap_is_rejected():
     suite.fuzz(shapes=[(2, 2)], styles=["dense"], count=0, seed=1)
     for count in (STATE_CAP + 1, 10**12):
         with pytest.raises(OutOfRange, match="count must be at most"):
             suite.fuzz(shapes=[(2, 2)], styles=["dense"], count=count, seed=1)
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(OutOfRange, match="seed must be >= 0, got -1"):
+        suite.fuzz(shapes=[(2, 2)], styles=["dense"], count=0, seed=-1)
 
 
 def stack_cases():
@@ -174,8 +228,8 @@ def test_stacked_scan_gives_each_matrix_its_own_bits(kinds, witnesses):
 
 def test_stacked_svds_give_each_matrix_its_own_bits():
     for group in stack_cases():
-        for entries, res in zip(group, _spectral_rhos(group)):
-            alone = _spectral_rho(entries)
+        for entries, parts in zip(group, _spectral_parts(group)):
+            res, alone = _checked_rho(*parts), _spectral_rho(entries)
             assert (res.value, res.spectral) == (alone.value, alone.spectral)
             for got, want in zip(res.witness, alone.witness):
                 assert got.tobytes() == want.tobytes()

@@ -234,6 +234,11 @@ class TestRandomJoint:
         with pytest.raises(OutOfRange):
             random_joint(2, 2, seed=1, style="bogus")
 
+    def test_negative_seed(self):
+        random_joint(2, 2, seed=0)
+        with pytest.raises(OutOfRange, match="seed must be >= 0, got -1"):
+            random_joint(2, 2, seed=-1)
+
     def test_sparse_has_zeros(self):
         m = random_joint(5, 5, seed=13, style="sparse")
         assert (m.entries == 0.0).any()
@@ -278,6 +283,22 @@ class TestMergeAtoms:
         with pytest.raises(IndexOutOfRange):
             merge_rows(m, 0, 5)
 
+    @pytest.mark.parametrize("index", [0.7, "2", True], ids=["float", "text", "bool"])
+    def test_index_that_is_not_an_integer(self, index):
+        # 0.7 once merged row 0, and "2" row 2
+        m = random_joint(3, 3, seed=17)
+        for merge in (merge_rows, merge_cols):
+            with pytest.raises(IndexOutOfRange, match="is not an integer"):
+                merge(m, index, 1)
+            with pytest.raises(IndexOutOfRange, match="is not an integer"):
+                merge(m, 1, index)
+
+    def test_numpy_integer_indices(self):
+        m = random_joint(3, 3, seed=17)
+        for merge in (merge_rows, merge_cols):
+            merged = merge(m, np.int64(2), np.int32(0))
+            assert np.array_equal(merged.entries, merge(m, 2, 0).entries)
+
 
 class TestPermute:
     def test_permutation_keeps_measures(self):
@@ -292,6 +313,21 @@ class TestPermute:
         m = random_joint(3, 3, seed=19)
         with pytest.raises(IndexOutOfRange):
             permute(m, row_order=[0, 0, 1])
+
+    @pytest.mark.parametrize("order", [[True, False, 2], [0, 1.0, 2], [0, "1", 2]],
+                             ids=["bool", "float", "text"])
+    def test_index_that_is_not_an_integer(self, order):
+        # True was once read as row 1
+        m = random_joint(3, 3, seed=19)
+        with pytest.raises(IndexOutOfRange, match="is not an integer"):
+            permute(m, row_order=order)
+        with pytest.raises(IndexOutOfRange, match="is not an integer"):
+            permute(m, col_order=order)
+
+    def test_numpy_integer_indices(self):
+        m = random_joint(3, 3, seed=19)
+        moved = permute(m, row_order=np.array([2, 0, 1]), col_order=[np.int64(1), 2, 0])
+        assert np.array_equal(moved.entries, permute(m, [2, 0, 1], [1, 2, 0]).entries)
 
 
 class TestJson:

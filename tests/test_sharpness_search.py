@@ -49,6 +49,12 @@ class TestSearchConfig:
         with pytest.raises(OutOfRange):
             SearchConfig(shape=(16, 3))
 
+    def test_negative_seed(self):
+        # once numpy's ValueError, raised by the first restart's generator
+        assert SearchConfig(shape=(2, 2), seed=0).seed == 0
+        with pytest.raises(OutOfRange, match="seed must be >= 0, got -1"):
+            SearchConfig(shape=(2, 2), seed=-1)
+
     def test_jsonable(self):
         cfg = SearchConfig(shape=(2, 4), tau_cap=0.3, two_atom=True, seed=5)
         blob = cfg.to_jsonable()
