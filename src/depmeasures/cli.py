@@ -159,12 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = ssub.add_parser(name, parents=[common])
         sp.add_argument("--shape", type=_parse_shape, required=True)
         sp.add_argument("--tau-cap", type=float, default=1.0)
-        sp.add_argument("--two-atom", action="store_true")
         sp.add_argument("--budget", type=int, default=1000)
         sp.add_argument("--restarts", type=int, default=4)
         sp.add_argument("--seed", type=int, required=True)
         sp.add_argument("--step-scale", type=float, default=0.25)
-        if name == "tensor-gap":
+        if name == "rho":
+            sp.add_argument("--two-atom", action="store_true")
+        else:
             sp.add_argument("--nmax", type=int, default=2)
 
     return parser
@@ -252,7 +253,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tupl
         cfg = SearchConfig(
             shape=tuple(args.shape),
             tau_cap=args.tau_cap,
-            two_atom=args.two_atom,
+            two_atom=getattr(args, "two_atom", False),
             budget=args.budget,
             restarts=args.restarts,
             seed=args.seed,

@@ -213,10 +213,15 @@ def marginals(M: JointPMF) -> Marginals:
     return Marginals(row=r, col=c)
 
 
+def _is_integer(x) -> bool:
+    """Whether x is a Python or numpy integer, booleans excluded."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
 def _check_index(i: int, n: int, side: str) -> int:
-    """The index rule: an atom index is an integer (Python or numpy, booleans
-    excluded) in [0, n), else IndexOutOfRange."""
-    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+    """The index rule: an atom index is an integer (see :func:`_is_integer`)
+    in [0, n), else IndexOutOfRange."""
+    if not _is_integer(i):
         raise IndexOutOfRange(f"{side} index {i!r} is not an integer")
     if not 0 <= i < n:
         raise IndexOutOfRange(f"{side} index {i} outside [0, {n})")
@@ -294,12 +299,13 @@ def kron_all(Ms: Sequence[JointPMF]) -> JointPMF:
 
 
 def _check_seed(seed: int) -> int:
-    """The seed rule: a seed is a non-negative integer, as numpy's generators
-    require; a negative one raises OutOfRange."""
-    seed = int(seed)
+    """The seed rule: a seed is a non-negative integer (see :func:`_is_integer`),
+    as numpy's generators require, else OutOfRange.  Returns it as an int."""
+    if not _is_integer(seed):
+        raise OutOfRange(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
-    return seed
+    return int(seed)
 
 
 def random_joint(

@@ -18,7 +18,10 @@ Exact psi has a closed form, max |p_ij/(r_i c_j) - 1| over single atoms.
 Exact lambda and tau enumerate one representative per complement class
 {S, S^c} of the smaller side only (|nu| is invariant under complements);
 against a fixed S the best T is a threshold set of the other side's atoms,
-so each class costs one sort and a few cumulative sums.  The scan keeps
+so each class costs one sort and a few cumulative sums.  That is the one
+split path, ``_splits``: value-only and witnessed scans, lone and stacked,
+and every heuristic half-round rank and sum the same way, so a scan's
+values do not depend on whether witnesses were asked for.  The scan keeps
 no state: ``_class_members`` builds each batch's members from their class
 numbers, so its memory is O(``_BATCH_CLASSES`` x atoms), also for a stack
 of matrices scanned (and their rho SVDs run) in one call: a stacked batch
@@ -209,7 +212,7 @@ def _statistic(kind: str, num, pa, pac, pb, pbc) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _splits(w: np.ndarray, marg: np.ndarray, rank: bool = True) -> tuple[np.ndarray | None, ...]:
+def _splits(w: np.ndarray, marg: np.ndarray) -> tuple[np.ndarray, ...]:
     """Covariance and masses of every threshold split against fixed events.
 
     ``w[0, ..., b, j]``, ``w[1, ..., b, j]`` are P(S_b and j), P(S_b^c and j)
@@ -219,26 +222,21 @@ def _splits(w: np.ndarray, marg: np.ndarray, rank: bool = True) -> tuple[np.ndar
     quasiconvex in (covariance, P(T)), so it peaks at a prefix or suffix of
     the atoms ranked by the centered key w[0]*P(S_b^c) - w[1]*P(S_b) per
     unit mass: a positive multiple of w[0]/marg minus a per-class constant,
-    so the plain ratio ranks them and keeps exact ties exact.  With
-    ``rank``, split k puts the first k + 1 ranked atoms in T; without,
-    split j puts in T every atom whose ratio is at least atom j's (all
-    vertices again, in fewer array operations on few atoms).  Quadrant
-    masses are never formed by subtraction, and the covariance is the
+    so one stable argsort of the plain ratio ranks them and keeps exact
+    ties exact.  Split k puts the first k + 1 ranked atoms in T; prefix and
+    suffix cumsums of the ranked masses give its quadrant masses, which are
+    never formed by subtraction.  The covariance is the
     complement-invariant determinant |p11*p00 - p10*p01|.
 
-    Returns (ranking or None, |covariance|, P(T), P(T^c), P(S_b), P(S_b^c)).
+    Returns (ranking, |covariance|, P(T), P(T^c), P(S_b), P(S_b^c)).
     """
-    ratio = w[0] / marg
-    order = None
-    if rank:
-        order = np.argsort(-ratio, axis=-1, kind="stable")
-        ranked = np.take_along_axis(w, order[None], axis=-1)
-        p11, p01 = np.cumsum(ranked[..., :-1], axis=-1)
-        p10, p00 = np.cumsum(ranked[..., :0:-1], axis=-1)[..., ::-1]
-    else:
-        in_t = ratio[..., None, :] >= ratio[..., :, None]
-        p11, p01 = (in_t @ w[..., None])[..., 0]
-        p10, p00 = (~in_t @ w[..., None])[..., 0]
+    order = (-(w[0] / marg)).argsort(axis=-1, kind="stable")
+    # One gather of both sides: row offsets make each ranking a flat index.
+    n = order.shape[-1]
+    flat = (order.reshape(-1, n) + np.arange(0, order.size, n)[:, None]).ravel()
+    ranked = w.reshape(2, -1).take(flat, axis=1).reshape(w.shape)
+    p11, p01 = ranked[..., :-1].cumsum(axis=-1)
+    p10, p00 = ranked[..., :0:-1].cumsum(axis=-1)[..., ::-1]
     p_s, p_sc = w.sum(axis=-1)
     return order, np.abs(p11 * p00 - p10 * p01), p11 + p01, p10 + p00, p_s, p_sc
 
@@ -276,14 +274,6 @@ def _attaining(kind: str, pa, pb) -> tuple:
 # per matrix, so batches this small also keep it off the BLAS thread pool,
 # which costs more than it saves.
 _BATCH_CLASSES = 2048
-# Value-only scans enumerating at most this many atoms (127 classes; the
-# split side is within the cap) compare atoms pairwise, not by sorting:
-# faster there on a 2-core x86 VM, even at 9 atoms and slower from 10 on.
-# The ranked path alone would do, but it costs value-only tau scans of 2x8,
-# 3x3 and 4x4 matrices a fifth to a third more (min of 75 calls), and its
-# values differ from these in the last bits (up to 2.7e-15 relative) on
-# 15-27% of them: search payloads, whose base tau scans run here, would change.
-_LEAN_SIDE = 8
 # Statistics within this fraction of the maximum tie with it; witnesses are
 # the smallest key among ties, so rounding does not pick among exact ties.
 _TIE_FRACTION = 1.0 - 1e-14
@@ -361,7 +351,6 @@ def _exact_scan(
     transposed = n_cols < n_rows
     n = min(n_rows, n_cols)
     n_classes = (1 << (n - 1)) - 1 if split_kinds else 0
-    rank = witnesses or n > _LEAN_SIDE
     # Matrices with the same positive-mass atoms on the thresholded side form
     # a stack, scanned in batches of at most _BATCH_CLASSES (matrix, class,
     # atom) cells, or of one matrix.
@@ -375,9 +364,8 @@ def _exact_scan(
             masses.append(marg[pos])
             subs.append(p[:, pos])
     for pos, group, masses, subs in groups.values():
-        # a lone matrix's stack is a view of it
-        sub = subs[0][None] if len(group) == 1 else np.array(subs)
-        gmarg = masses[0][None] if len(group) == 1 else np.array(masses)
+        # each matrix's marginals broadcast over its classes
+        sub, gmarg = np.array(subs), np.array(masses)[:, None]
         step = max(1, _BATCH_CLASSES // (min(n_classes, _BATCH_CLASSES) * pos.size))
         for lo in range(0, n_classes, _BATCH_CLASSES):
             members = _class_members(n, lo, min(lo + _BATCH_CLASSES, n_classes))
@@ -385,18 +373,15 @@ def _exact_scan(
                 at = group[start : start + step]
                 # Complement masks make complement masses direct sums: zero-mass
                 # events come out as exact 0.0 and the 0/0 rule needs no tolerance.
-                # One (classes, n) @ (n, size) BLAS call per matrix and side;
-                # the splits run on (matrix, class) rows.
+                # One (classes, n) @ (n, size) BLAS call per matrix and side:
+                # w is (side, matrix, class, atom).
                 masks = np.array((members, ~members), dtype=np.float64)[:, None]
-                w = (masks @ sub[start : start + step]).reshape(2, -1, pos.size)
+                w = masks @ sub[start : start + step]
                 del masks  # freed before the splits allocate theirs
-                row_marg = gmarg[start : start + 1] if len(at) == 1 else np.repeat(
-                    gmarg[start : start + step], len(members), axis=0
-                )
-                order, num, pt, ptc, p_s, p_sc = _splits(w, row_marg, rank)
+                order, num, pt, ptc, p_s, p_sc = _splits(w, gmarg[start : start + step])
                 for k in split_kinds:
                     stat = _split_stat(k, num, pt, ptc, p_s, p_sc)
-                    cmaxes = stat.reshape(len(at), -1).max(axis=1).tolist()
+                    cmaxes = stat.max(axis=(1, 2)).tolist()
                     tops = values[k]
                     for i, cmax in zip(at, cmaxes):
                         tops[i] = max(tops[i], cmax)
@@ -426,16 +411,14 @@ def _best_witnesses(
     """Update ``best[i]``, (key, pair, cell statistic), for the matrices ``at`` of a batch.
 
     A matrix whose batch maximum ``cmax`` ties its running maximum ``top``
-    offers its minimal-key cell with stat >= top * ``_TIE_FRACTION``; rows
-    of ``stat`` are (matrix, class) pairs, and ``order`` ranks atoms ``pos``.
+    offers its minimal-key cell with stat >= top * ``_TIE_FRACTION``.  The
+    arrays are indexed by (matrix, class, split) as :func:`_splits` returns
+    them, and ``order`` ranks atoms ``pos``.
     """
     floor = np.array([top * _TIE_FRACTION for top in tops])
     held = np.array([cmax > 0.0 and cmax >= f for cmax, f in zip(cmaxes, floor.tolist())])
     if not held.any():
         return
-    cells = (len(at), len(members), -1)
-    stat, pt, ptc, order = (a.reshape(cells) for a in (stat, pt, ptc, order))
-    p_s, p_sc = p_s.reshape(cells[:2]), p_sc.reshape(cells[:2])
 
     def min_size(na, nb, pa, pb):
         take_a, take_b = _attaining(kind, pa, pb)

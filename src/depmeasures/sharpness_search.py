@@ -73,7 +73,8 @@ class SearchConfig:
 
     Exact tau decides feasibility wherever rho cannot certify it, so keep
     shapes small: 4x4 is the recommended general default, 2x8 for the
-    two-atom regime.
+    two-atom regime.  ``two_atom`` picks the rho search's two-atom bound;
+    the tensor-gap search rejects it.
     """
 
     shape: tuple[int, int] = (4, 4)
@@ -102,7 +103,8 @@ class SearchConfig:
             raise OutOfRange(f"restarts must be >= 1, got {self.restarts}")
         if not self.step_scale > 0.0:
             raise OutOfRange(f"step_scale must be positive, got {self.step_scale!r}")
-        _check_seed(self.seed)
+        # stored as the rule returns it: a numpy integer would not serialize
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def to_jsonable(self) -> dict:
         return {
@@ -442,9 +444,12 @@ def search_tensor_gap(
     join of copies of M is at most max(tau, psi) = psi, so no state can
     have a larger gap.  The objective may be 0 (for example whenever
     psi = tau, as in the sign-product family).  Each proposal's tau, from
-    its feasibility test, serves as tau(M).
+    its feasibility test, serves as tau(M).  ``cfg.two_atom`` raises
+    OutOfRange: it picks a rho bound and would do nothing here.
     """
     _check_n_max(n_max)
+    if cfg.two_atom:
+        raise OutOfRange("two_atom picks a rho bound; the tensor-gap search takes none")
 
     def objective_of(scores: _ChainScores) -> Callable[[np.ndarray], float]:
         return lambda entries: _tensor_gap(entries, scores.tau(entries), n_max)

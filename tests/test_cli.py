@@ -348,6 +348,41 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -1")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["search", "rho", "--shape", "4by4", "--seed", "1"],
+        ["search", "tensor-gap", "--shape", "2x3", "--two-atom", "--budget", "3",
+         "--restarts", "1", "--seed", "1"],
+        ["theorem6", "--base", "BASE", "--g=a,b", "--h=-1,1", "--n", "1"],
+        ["theorem6", "--base", "BASE", "--g=-1,1", "--n", "1"],
+        ["witness-search", "--base", "BASE", "--t", "0.5", "--nmax", "2", "--method", "mc"],
+    ],
+    ids=["shape-text", "tensor-gap-two-atom", "text-scores", "g-without-h",
+         "witness-search-mc-without-seed"],
+)
+def test_usage_error_exits_2(tmp_path, capsys, command):
+    # --two-atom picks the rho search's bound; tensor-gap once recorded it and ignored it
+    base = tmp_path / "yy.json"
+    assert run(["yy", "--t", "0.5", "--out", str(base)]) == 0
+    command = [str(base) if arg == "BASE" else arg for arg in command]
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "error: " in capsys.readouterr().err
+
+
+def test_tensor_gap_records_no_two_atom_parameter(tmp_path):
+    out = tmp_path / "g.json"
+    assert run(["search", "tensor-gap", "--shape", "2x2", "--budget", "3", "--restarts", "1",
+                "--seed", "1", "--out", str(out)]) == 0
+    doc = read_doc(out)
+    assert "two_atom" not in doc["manifest"]["parameters"]
+    assert doc["result"]["config"]["two_atom"] is False
+
+
 class TestExitCodes:
     def test_non_convergence_maps_to_exit_4(self, tmp_path, monkeypatch):
         import depmeasures.cli as cli

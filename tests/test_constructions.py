@@ -147,6 +147,10 @@ class TestCltLimit:
                 -clt_limit_corr(float(r)), abs=1e-15
             )
 
+    def test_correlation_outside_its_range(self):
+        with pytest.raises(OutOfRange, match=r"r must be in \[-1, 1\]"):
+            clt_limit_corr(1.5)
+
 
 class TestScoredBase:
     def test_sign_scores_already_normalized(self):
@@ -221,6 +225,10 @@ class TestScoredBase:
         back = scored_base_from_jsonable(sb.to_jsonable())
         assert np.allclose(back.g, sb.g, atol=1e-12)
         assert back.r == pytest.approx(sb.r, abs=1e-12)
+
+    def test_json_without_scores(self):
+        with pytest.raises(OutOfRange, match="lacks keys"):
+            scored_base_from_jsonable({"matrix": [[0.5, 0.0], [0.0, 0.5]]})
 
 
 class TestTheorem6Corr:
@@ -297,6 +305,21 @@ class TestTheorem6Corr:
         sb = pm_one_base(0.5)
         with pytest.raises(OutOfRange, match="seed must be >= 0, got -5"):
             theorem6_corr(sb, 4, method="monte_carlo", samples=5000, seed=-5)
+
+    def test_mc_seed_must_be_an_integer(self):
+        sb = pm_one_base(0.5)
+        for seed in (1.5, True):
+            with pytest.raises(OutOfRange, match="seed must be an integer"):
+                theorem6_corr(sb, 4, method="monte_carlo", samples=5000, seed=seed)
+        want = theorem6_corr(sb, 4, method="monte_carlo", samples=5000, seed=3)
+        assert theorem6_corr(sb, 4, method="monte_carlo", samples=5000, seed=np.int64(3)) == want
+
+    def test_bad_n_or_method(self):
+        sb = pm_one_base(0.5)
+        with pytest.raises(OutOfRange, match="n must be >= 1"):
+            theorem6_corr(sb, 0)
+        with pytest.raises(OutOfRange, match="unknown method"):
+            theorem6_corr(sb, 1, method="bogus")
 
     def test_mc_deterministic_and_accurate(self):
         sb = pm_one_base(0.5)

@@ -5,7 +5,8 @@ enumeration; ``grid_oracle.grid_scan`` scores every complement-class pair
 and ``oracles.naive_event_measure`` every event pair.  Values must agree
 within 1e-13 relative.  Witnesses must agree, or else the kernel's must be
 a tie of the grid's (event statistics within 1e-13 relative: both sides
-round) with a smaller tie-break key.
+round) with a smaller tie-break key.  A value-only scan must return the
+witnessed scan's values bit for bit.
 """
 
 import tracemalloc
@@ -47,11 +48,11 @@ def stat(m, pair, kind):
 
 def assert_matches_grid(m):
     values, wit = _exact_scan(m.entries, KINDS, witnesses=True)
-    plain, _ = _exact_scan(m.entries)  # value-only scans may skip the ranking
+    plain, _ = _exact_scan(m.entries)  # value-only: the same splits, unwitnessed
+    assert plain == values
     want_values, want_wit = grid_scan(m.entries, witness_kinds=KINDS)
     for kind in KINDS:
         assert close(values[kind], want_values[kind]), (kind, values[kind], want_values[kind])
-        assert close(plain[kind], want_values[kind]), (kind, plain[kind], want_values[kind])
         if wit[kind] != want_wit[kind]:
             # The grid breaks ties by its own rounding, so its witness may
             # be any of several pairs equal up to ulps; the kernel's must be
@@ -89,6 +90,17 @@ def padded_cases():
             yield from_matrix(padded)
 
 
+def wide_cases():
+    """More than 8 atoms on both sides, and a zero-mass row and column."""
+    rng = np.random.default_rng(35)
+    for shape in ((10, 9), (9, 10), (11, 9)):
+        for style in STYLES:
+            arr = random_joint(*shape, seed=int(rng.integers(1e9)), style=style).entries.copy()
+            arr[int(rng.integers(shape[0]))] = 0.0
+            arr[:, int(rng.integers(shape[1]))] = 0.0
+            yield from_matrix(arr, normalize=True)
+
+
 def tie_cases():
     for t in (0.0, 0.25, 0.5, 1.0):
         yield yy(t)
@@ -103,7 +115,9 @@ def tie_cases():
 
 
 @pytest.mark.parametrize(
-    "family", [random_cases, padded_cases, tie_cases], ids=["random", "zero_mass", "ties"]
+    "family",
+    [random_cases, padded_cases, wide_cases, tie_cases],
+    ids=["random", "zero_mass", "wide", "ties"],
 )
 def test_kernel_matches_grid_oracle(family):
     for m in family():

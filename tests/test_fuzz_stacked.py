@@ -218,10 +218,12 @@ def stack_cases():
 def test_stacked_scan_gives_each_matrix_its_own_bits(kinds, witnesses):
     for group in stack_cases():
         values, wit = _exact_scan(np.array(group), kinds, witnesses)
+        # one split path: asking for witnesses changes no value
+        other, _ = _exact_scan(np.array(group), kinds, not witnesses)
         for i, entries in enumerate(group):
             alone, alone_wit = _exact_scan(entries, kinds, witnesses)
             for k in kinds:
-                assert values[k][i] == alone[k]
+                assert values[k][i] == alone[k] == other[k][i]
                 if witnesses:
                     assert wit[k][i] == alone_wit[k]
 

@@ -20,6 +20,7 @@ from depmeasures import (
     exact_event_values,
     from_matrix,
     kron,
+    kron_all,
     marginals,
     merge_cols,
     merge_rows,
@@ -65,6 +66,14 @@ class TestFromMatrix:
     def test_nan_rejected(self):
         with pytest.raises(NegativeEntry):
             from_matrix([[float("nan"), 1.0]])
+
+    def test_infinite_entry_rejected(self):
+        with pytest.raises(NegativeEntry, match="finite"):
+            from_matrix([[math.inf, 0.0], [0.0, 0.0]])
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(NonRectangular, match="at least 1x1"):
+            from_matrix(np.zeros((0, 3)))
 
     def test_zero_total(self):
         with pytest.raises(ZeroTotal):
@@ -199,6 +208,10 @@ class TestKron:
         u = random_joint(3, 2, seed=1)
         assert np.array_equal(kron(u, u).entries, np.kron(u.entries, u.entries))
 
+    def test_join_of_no_factors(self):
+        with pytest.raises(NonRectangular, match="at least one factor"):
+            kron_all([])
+
     def test_size_overflow(self):
         # 3163^2 = 10,004,569 entries, just past STATE_CAP: raised before
         # the product is allocated
@@ -239,6 +252,22 @@ class TestRandomJoint:
         with pytest.raises(OutOfRange, match="seed must be >= 0, got -1"):
             random_joint(2, 2, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.7, True, "1", np.float64(1.0)],
+                             ids=["float", "bool", "text", "numpy-float"])
+    def test_seed_that_is_not_an_integer(self, seed):
+        # 1.7 and True once gave seed 1's matrix
+        with pytest.raises(OutOfRange, match="seed must be an integer"):
+            random_joint(2, 2, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        want = random_joint(3, 2, seed=7).entries
+        for seed in (np.int64(7), np.uint8(7)):
+            assert np.array_equal(random_joint(3, 2, seed=seed).entries, want)
+
+    def test_empty_shape(self):
+        with pytest.raises(IndexOutOfRange, match="at least 1x1"):
+            random_joint(0, 2, seed=1)
+
     def test_sparse_has_zeros(self):
         m = random_joint(5, 5, seed=13, style="sparse")
         assert (m.entries == 0.0).any()
@@ -275,6 +304,13 @@ class TestMergeAtoms:
             from_matrix(m.entries.T.copy()), 0, 2
         )
         assert np.allclose(a.entries, b.entries.T, atol=0)
+
+    def test_merged_labels(self):
+        m = from_matrix([[0.1, 0.2], [0.3, 0.4]], row_labels=["a", "b"], col_labels=["x", "y"])
+        assert merge_rows(m, 1, 0).row_labels == ("a+b",)
+        assert merge_rows(m, 1, 0).col_labels == ("x", "y")
+        assert merge_cols(m, 1, 0).col_labels == ("x+y",)
+        assert merge_cols(m, 1, 0).row_labels == ("a", "b")
 
     def test_bad_indices(self):
         m = random_joint(3, 3, seed=17)
@@ -313,6 +349,14 @@ class TestPermute:
         m = random_joint(3, 3, seed=19)
         with pytest.raises(IndexOutOfRange):
             permute(m, row_order=[0, 0, 1])
+        with pytest.raises(IndexOutOfRange):
+            permute(m, col_order=[0, 0])
+
+    def test_labels_follow_their_atoms(self):
+        m = from_matrix([[0.1, 0.2], [0.3, 0.4]], row_labels=["a", "b"], col_labels=["x", "y"])
+        moved = permute(m, row_order=[1, 0], col_order=[1, 0])
+        assert (moved.row_labels, moved.col_labels) == (("b", "a"), ("y", "x"))
+        assert moved.entries.tolist() == [[0.4, 0.3], [0.2, 0.1]]
 
     @pytest.mark.parametrize("order", [[True, False, 2], [0, 1.0, 2], [0, "1", 2]],
                              ids=["bool", "float", "text"])

@@ -122,6 +122,10 @@ class TestComplementInvariance:
 
 
 class TestEventMeasure:
+    def test_unknown_mode(self):
+        with pytest.raises(OutOfRange, match="mode must be one of"):
+            event_measure(yy(0.4), "tau", mode="bogus")
+
     def test_sign_pair_values(self):
         m = yy(0.4)
         assert event_measure(m, "tau", mode="exact").value == pytest.approx(0.4, abs=1e-12)

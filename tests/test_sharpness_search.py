@@ -48,12 +48,29 @@ class TestSearchConfig:
             SearchConfig(shape=(3, 3), budget=0)
         with pytest.raises(OutOfRange):
             SearchConfig(shape=(16, 3))
+        with pytest.raises(OutOfRange, match="restarts must be >= 1"):
+            SearchConfig(restarts=0)
+        with pytest.raises(OutOfRange, match="step_scale must be positive"):
+            SearchConfig(step_scale=0.0)
 
     def test_negative_seed(self):
         # once numpy's ValueError, raised by the first restart's generator
         assert SearchConfig(shape=(2, 2), seed=0).seed == 0
         with pytest.raises(OutOfRange, match="seed must be >= 0, got -1"):
             SearchConfig(shape=(2, 2), seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_seed_that_is_not_an_integer(self, seed):
+        # 1.5 once escaped from the first restart's generator as numpy's TypeError
+        with pytest.raises(OutOfRange, match="seed must be an integer"):
+            SearchConfig(shape=(2, 2), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        # stored as an int, so the config and the result still serialize
+        cfg = SearchConfig(shape=(2, 2), budget=5, restarts=1, seed=np.int64(3))
+        assert type(cfg.seed) is int
+        want = search_max_rho(dataclasses.replace(cfg, seed=3)).to_jsonable()
+        assert json.dumps(search_max_rho(cfg).to_jsonable()) == json.dumps(want)
 
     def test_jsonable(self):
         cfg = SearchConfig(shape=(2, 4), tau_cap=0.3, two_atom=True, seed=5)
@@ -178,6 +195,16 @@ class TestTensorGap:
     def test_base_beyond_the_exact_cap_raises(self):
         with pytest.raises(TooLargeForExact):
             tensor_gap_lower_bound(random_joint(15, 2, seed=1))
+
+    def test_fewer_than_two_copies_raises(self):
+        with pytest.raises(OutOfRange, match="n_max must be >= 2"):
+            tensor_gap_lower_bound(yy_pair(0.5), n_max=1)
+
+    def test_two_atom_is_rejected(self):
+        # it picks the rho search's bound, so it once changed nothing here
+        cfg = SearchConfig(shape=(2, 3), two_atom=True, budget=3, restarts=1, seed=1)
+        with pytest.raises(OutOfRange, match="two_atom"):
+            search_tensor_gap(cfg)
 
     def test_more_join_powers_never_lower_the_gap(self):
         rng = np.random.default_rng(12)

@@ -184,6 +184,10 @@ class TestCousinMulti:
         res = check_cousin_multi([random_joint(3, 3, seed=9)])
         assert res.passed
 
+    def test_no_factors(self):
+        with pytest.raises(ShapeError, match="at least one factor"):
+            check_cousin_multi([])
+
     def test_random_triples(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
@@ -201,6 +205,20 @@ class TestFuzz:
     def test_negative_count_rejected(self):
         with pytest.raises(OutOfRange, match="count"):
             fuzz(shapes=[(3, 3)], styles=["dense"], count=-5, seed=1)
+
+    def test_no_shapes_rejected(self):
+        with pytest.raises(OutOfRange, match="at least one shape"):
+            fuzz([], ["dense"], 1, 1)
+
+    def test_seed_must_be_an_integer(self):
+        # 2.9 once ran as seed 2
+        for seed in (2.9, True):
+            with pytest.raises(OutOfRange, match="seed must be an integer"):
+                fuzz(shapes=[(2, 2)], styles=["dense"], count=1, seed=seed)
+        want = fuzz(shapes=[(2, 2)], styles=["dense"], count=3, seed=2).to_jsonable()
+        got = fuzz(shapes=[(2, 2)], styles=["dense"], count=3, seed=np.int32(2))
+        assert got.rng_seed == 2 and type(got.rng_seed) is int
+        assert got.to_jsonable() == want
 
     def test_deterministic(self):
         a = fuzz(shapes=[(3, 3), (2, 4)], styles=["dense", "sparse"], count=40, seed=11)
