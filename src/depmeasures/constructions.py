@@ -26,6 +26,8 @@ Contents:
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -43,6 +45,7 @@ from .errors import (
 from .joint_pmf import (
     STATE_CAP,
     JointPMF,
+    _check_integer,
     _check_seed,
     from_jsonable,
     from_matrix,
@@ -56,6 +59,7 @@ from .theorem_suite import BOUND_TOL, CheckResult, _result
 LATTICE_MAX_DENOMINATOR = 10**4
 MC_MIN_SAMPLES = 1000
 MC_STREAM_SIZE = 1 << 16
+_MC_BLOCK = 1 << 13  # samples per multinomial call; a stream is drawn in blocks
 
 _LONG_PI = np.arccos(np.longdouble(-1.0))
 
@@ -359,33 +363,59 @@ def _exact_corr_enumerate(sb: ScoredBase, n: int) -> float:
 def _mc_corr(sb: ScoredBase, n: int, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate with delta-method standard error.
 
-    Sampling runs in fixed-size substreams keyed by (seed, stream index);
-    the merged counts, and hence the estimate, do not depend on how the
-    streams would be scheduled.
+    Sampling runs in substreams of ``MC_STREAM_SIZE`` draws keyed by
+    (seed, stream index).  The substreams are drawn concurrently, one
+    thread per CPU the process may use (at most one per stream), and
+    numpy's multinomial sampler releases the interpreter lock.  Every
+    stream yields three integer counts, and integer sums are exact, so the
+    estimate and its standard error do not depend on the number of CPUs;
+    no setting chooses it.
     """
-    p_cells = sb.base.entries.ravel()
+    p_cells = _sampler_masses(sb.base.entries.ravel())
     g_cell = np.repeat(sb.g, sb.base.n_cols)
     h_cell = np.tile(sb.h, sb.base.n_rows)
-    n11 = na = nb = 0
-    done = 0
-    stream = 0
-    while done < samples:
-        take = min(MC_STREAM_SIZE, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-        counts = rng.multinomial(n, p_cells, size=take)
-        ya = counts @ g_cell > 0.0
-        zb = counts @ h_cell > 0.0
-        n11 += int((ya & zb).sum())
-        na += int(ya.sum())
-        nb += int(zb.sum())
-        done += take
-        stream += 1
+    n_streams = -(-samples // MC_STREAM_SIZE)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, n_streams)
+
+    def tally(first: int) -> tuple[int, int, int]:
+        # streams first, first + workers, ...; each in blocks, since
+        # consecutive multinomial calls on one generator continue its
+        # sequence, so a worker holds one block at a time
+        n11 = na = nb = 0
+        for stream in range(first, n_streams, workers):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+            take = min(MC_STREAM_SIZE, samples - stream * MC_STREAM_SIZE)
+            for done in range(0, take, _MC_BLOCK):
+                counts = rng.multinomial(n, p_cells, size=min(_MC_BLOCK, take - done))
+                ya = counts @ g_cell > 0.0
+                zb = counts @ h_cell > 0.0
+                n11 += int((ya & zb).sum())
+                na += int(ya.sum())
+                nb += int(zb.sum())
+        return n11, na, nb
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        n11, na, nb = (sum(column) for column in zip(*pool.map(tally, range(workers))))
     q11 = n11 / samples
     qa = na / samples
     qb = nb / samples
     value = _indicator_corr(q11, qa, qb)
     stderr = _delta_stderr(q11, qa, qb, samples)
     return value, stderr
+
+
+def _sampler_masses(p: np.ndarray) -> np.ndarray:
+    """Cell masses as numpy's multinomial sampler accepts them.
+
+    The sampler rejects a mass above 1 and masses before the last cell
+    summing above 1 + 1e-12, which a valid matrix (total within 1e-9 of 1)
+    can hold.  Only those get divided by their sum; every other matrix
+    keeps its masses, and so its streams, unchanged.
+    """
+    if p.max() > 1.0 or math.fsum(p[:-1]) > 1.0 + 1e-12:
+        return p / math.fsum(p)
+    return p
 
 
 def _delta_stderr(q11: float, qa: float, qb: float, n_samples: int) -> float:
@@ -431,8 +461,11 @@ def theorem6_corr(
     ties count as not positive), and falls back to full sequence
     enumeration under the state cap.  Monte Carlo needs ``samples`` >= 1000
     and a seed; its standard error comes from the delta method.  ``auto``
-    prefers exact and falls back to Monte Carlo.
+    prefers exact and falls back to Monte Carlo.  ``n`` and ``samples``
+    follow the integer rule of :func:`_check_integer`.
     """
+    n = _check_integer("n", n)
+    samples = _check_integer("samples", samples)
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     if method not in ("exact", "monte_carlo", "auto"):
@@ -502,9 +535,12 @@ def theorem6_witness_search(
     demands a 3-standard-error margin.  A hit is a concrete finite join
     whose tau exceeds the per-copy level t; the tolerance keeps float noise
     (at n = 1 the correlation equals t in exact arithmetic) from counting.
+    ``n_max`` and ``samples`` follow the integer rule of :func:`_check_integer`.
     """
     if not 0.0 < t < 1.0:
         raise OutOfRange(f"t must be in (0, 1), got {t!r}")
+    n_max = _check_integer("n_max", n_max)
+    samples = _check_integer("samples", samples)
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
     tau_base = event_measure(sb.base, "tau", mode="exact").value
@@ -570,7 +606,9 @@ def lemma7_profile(grid_points: int = 100_000) -> Lemma7Profile:
     0 and positive at 1, so bisection pins its unique root c; the sign
     pattern (f'' < 0 left of c, > 0 right of c) is verified at grid
     resolution, and f(1) = 0, f'(1) = 0 are checked directly.
+    ``grid_points`` follows the integer rule of :func:`_check_integer`.
     """
+    grid_points = _check_integer("grid_points", grid_points)
     if not 1000 <= grid_points <= STATE_CAP:
         raise OutOfRange(f"grid_points must be in [1000, {STATE_CAP}], got {grid_points}")
     ts = np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)

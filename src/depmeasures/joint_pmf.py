@@ -298,14 +298,21 @@ def kron_all(Ms: Sequence[JointPMF]) -> JointPMF:
     return out
 
 
+def _check_integer(name: str, value) -> int:
+    """The integer rule for a count, size or seed argument: an integer (see
+    :func:`_is_integer`), else OutOfRange.  Returns it as an int."""
+    if not _is_integer(value):
+        raise OutOfRange(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_seed(seed: int) -> int:
-    """The seed rule: a seed is a non-negative integer (see :func:`_is_integer`),
+    """The seed rule: a seed is a non-negative integer (see :func:`_check_integer`),
     as numpy's generators require, else OutOfRange.  Returns it as an int."""
-    if not _is_integer(seed):
-        raise OutOfRange(f"seed must be an integer, got {seed!r}")
+    seed = _check_integer("seed", seed)
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
-    return int(seed)
+    return seed
 
 
 def random_joint(

@@ -198,6 +198,16 @@ class TestTheorem6Cli:
                  "--n", "4", "--method", "mc"])
         assert exc.value.code == 2
 
+    def test_mc_on_leading_masses_above_one(self, tmp_path):
+        # total within 1e-9 of 1, but numpy's sampler rejects the leading sum
+        f = tmp_path / "base.json"
+        f.write_text(json.dumps({"matrix": [[0.3, 0.2], [0.5000000004, 0.0]],
+                                 "g": [-1, 1], "h": [-1, 1]}))
+        out = tmp_path / "t6.json"
+        assert run(["theorem6", "--base", str(f), "--n", "4", "--method", "mc",
+                    "--samples", "2000", "--seed", "1", "--out", str(out)]) == 0
+        assert -1.0 <= read_doc(out)["result"]["value"] <= 1.0
+
     def test_scores_given_but_matrix_missing_exits_2(self, tmp_path):
         f = tmp_path / "scores_only.json"
         f.write_text(json.dumps({"g": [-1.0, 1.0], "h": [-1.0, 1.0]}))

@@ -33,6 +33,7 @@ from depmeasures.sharpness_search import tensor_gap_lower_bound
 from depmeasures.theorem_suite import BOUND_TOL
 
 from lattice_oracle import full_grid_score_sum_law
+from mc_oracle import mc_corr
 from oracles import sum_indicator_corr_bruteforce
 
 # Root of f'' on (0, 1), computed independently with mpmath findroot.
@@ -356,6 +357,103 @@ class TestTheorem6Corr:
         sb = make_scored_base(base, res.witness[0], res.witness[1])
         est = theorem6_corr(sb, 64, method="auto", samples=5000, seed=9)
         assert est.method == "monte_carlo"
+
+
+MC_BASES = {
+    "sign-pair": lambda: pm_one_base(0.5),
+    "corner-3x3": lambda: even_scored_3x3(),  # the clt-theorem6 benchmark's base
+    "irregular-3x4": lambda: make_scored_base(
+        random_joint(3, 4, seed=12), [-1.3, 0.2, 2.7], [0.5, -1.1, 3.3, 0.05]
+    ),
+}
+
+
+class TestMcPool:
+    """The thread pool returns the serial loop's bits, whatever the CPUs."""
+
+    @pytest.mark.parametrize("samples", [1000, 65_536, 65_537, 10**6 + 3])
+    @pytest.mark.parametrize("name", sorted(MC_BASES))
+    def test_equals_serial_oracle(self, monkeypatch, name, samples):
+        sb = MC_BASES[name]()
+        want = mc_corr(sb, 12, samples, 5)
+        streams = -(-samples // constructions.MC_STREAM_SIZE)
+        pools = []
+
+        class Recording(constructions.ThreadPoolExecutor):
+            # one task per worker, however many streams
+            def __init__(self, max_workers):
+                pools.append([max_workers, 0])
+                super().__init__(max_workers=max_workers)
+
+            def submit(self, fn, *args):
+                pools[-1][1] += 1
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(constructions, "ThreadPoolExecutor", Recording)
+        for cpus in (1, streams + 3):
+            monkeypatch.setattr(constructions.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+            assert constructions._mc_corr(sb, 12, samples, 5) == want
+        assert pools == [[1, 1], [streams, streams]]
+
+    def test_estimate_is_the_serial_one(self):
+        sb = even_scored_3x3()
+        est = theorem6_corr(sb, 6, method="monte_carlo", samples=70_000, seed=3)
+        assert (est.value, est.stderr) == mc_corr(sb, 6, 70_000, 3)
+
+
+class TestMcMasses:
+    """Masses numpy's sampler would reject are rescaled; no others are."""
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.3, 0.2], [0.5000000004, 0.0]],  # leading cells sum above 1 + 1e-12
+        [[5e-11, 5e-11], [5e-11, 1.00000000005]],  # a mass above 1
+    ])
+    def test_valid_base_samples(self, matrix):
+        sb = make_scored_base(from_matrix(matrix), [-1, 1], [-1, 1])
+        est = theorem6_corr(sb, 4, method="monte_carlo", samples=2000, seed=1)
+        assert -1.0 <= est.value <= 1.0 and math.isfinite(est.stderr)
+
+    def test_sampled_masses_keep_their_stream(self):
+        # leading cells sum to 1 + 1e-13, within numpy's slack: the masses
+        # reach the sampler unchanged, as before the rescaling rule
+        sb = make_scored_base(from_matrix([[0.3, 0.2], [0.5 + 1e-13, 0.0]]), [-1, 1], [-1, 1])
+        assert math.fsum(sb.base.entries.ravel()[:-1]) > 1.0
+        assert constructions._mc_corr(sb, 4, 2000, 1) == mc_corr(sb, 4, 2000, 1)
+
+
+class TestIntegerRule:
+    """Counts and sizes are integers (booleans excluded), else OutOfRange."""
+
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, "4"])
+    def test_theorem6_n(self, bad):
+        with pytest.raises(OutOfRange, match="n must be an integer"):
+            theorem6_corr(pm_one_base(0.5), bad)
+
+    @pytest.mark.parametrize("bad", [5000.5, 5000.0, True])
+    def test_theorem6_samples(self, bad):
+        with pytest.raises(OutOfRange, match="samples must be an integer"):
+            theorem6_corr(pm_one_base(0.5), 4, method="monte_carlo", samples=bad, seed=1)
+
+    def test_numpy_integers_become_ints(self):
+        est = theorem6_corr(pm_one_base(0.5), np.int64(4), method="monte_carlo",
+                            samples=np.int32(5000), seed=1)
+        assert type(est.n) is int and type(est.samples) is int
+        assert est == theorem6_corr(pm_one_base(0.5), 4, method="monte_carlo", samples=5000, seed=1)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_max": 2.5}, "n_max"),
+        ({"n_max": True}, "n_max"),
+        ({"n_max": 2, "samples": 1e5}, "samples"),
+    ])
+    def test_witness_search(self, kwargs, name):
+        with pytest.raises(OutOfRange, match=f"{name} must be an integer"):
+            theorem6_witness_search(0.5, pm_one_base(0.5), **kwargs)
+
+    @pytest.mark.parametrize("bad", [1000.0, True])
+    def test_lemma7_grid_points(self, bad):
+        with pytest.raises(OutOfRange, match="grid_points must be an integer"):
+            lemma7_profile(bad)
+        assert type(lemma7_profile(np.int64(1000)).grid_points) is int
 
 
 def lattice_gcd(entries, scores, axis):
