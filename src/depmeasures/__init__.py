@@ -94,4 +94,5 @@ from .sharpness_search import (
     tensor_gap_lower_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name but the ``from __future__`` feature object
+__all__ = [name for name in dir() if not name.startswith("_") and name != "annotations"]

@@ -51,6 +51,19 @@ EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 EXIT_NO_CONVERGENCE = 4
 
+# check name -> (its matrix inputs as (option, dest, nargs), a checker of
+# the loaded matrices returning CheckResults, looked up when it runs)
+_ONE = (("--in", "infile", None),)
+_PAIR = (("--in1", "in1", None), ("--in2", "in2", None))
+_CHECKS = {
+    "chain": (_ONE, lambda m: check_chain(m)),
+    "two-atom": (_ONE, lambda m: [check_two_atom_bound(m)]),
+    "peyre": (_ONE, lambda m: [check_peyre_bound(m)]),
+    "csaki-fischer": (_PAIR, lambda m1, m2: check_csaki_fischer(m1, m2)),
+    "cousin": (_PAIR, lambda m1, m2: check_cousin(m1, m2)),
+    "cousin-multi": ((("--in", "infiles", "+"),), lambda ms: [check_cousin_multi(ms)]),
+}
+
 
 def _parse_shape(text: str) -> tuple[int, int]:
     try:
@@ -77,10 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON document to this file")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json",
-        help="csv is available only for search traces",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measures", parents=[common], help="full dependence report of a matrix")
@@ -98,18 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run one theorem checker")
     csub = p.add_subparsers(dest="check_name", required=True)
-    for name in ("chain", "two-atom", "peyre"):
+    for name, (inputs, _) in _CHECKS.items():
         cp = csub.add_parser(name, parents=[common])
-        cp.add_argument("--in", dest="infile", required=True)
+        for option, dest, nargs in inputs:
+            cp.add_argument(option, dest=dest, nargs=nargs, required=True)
         cp.add_argument("--normalize", action="store_true")
-    for name in ("csaki-fischer", "cousin"):
-        cp = csub.add_parser(name, parents=[common])
-        cp.add_argument("--in1", required=True)
-        cp.add_argument("--in2", required=True)
-        cp.add_argument("--normalize", action="store_true")
-    cp = csub.add_parser("cousin-multi", parents=[common])
-    cp.add_argument("--in", dest="infiles", nargs="+", required=True)
-    cp.add_argument("--normalize", action="store_true")
 
     p = sub.add_parser("fuzz", parents=[common],
                        help="run all applicable checks on random instances")
@@ -137,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_floats)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, help="Monte Carlo draws (default 100000)")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("witness-search", parents=[common],
@@ -146,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, help="ScoredBase JSON with matrix, g, h")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--method", choices=("exact", "mc", "auto"), default="auto")
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--samples", type=int, help="Monte Carlo draws (default 200000)")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("lemma7", parents=[common],
@@ -163,17 +165,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--restarts", type=int, default=4)
         sp.add_argument("--seed", type=int, required=True)
         sp.add_argument("--step-scale", type=float, default=0.25)
+        sp.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="csv writes the search trace")
         if name == "rho":
             sp.add_argument("--two-atom", action="store_true")
         else:
             sp.add_argument("--nmax", type=int, default=2)
 
     return parser
-
-
-def _checks_payload(checks) -> tuple[dict, bool]:
-    items = [c.to_jsonable() for c in checks]
-    return {"checks": items}, any(not c.passed for c in checks)
 
 
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[dict, bool]:
@@ -187,25 +186,14 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tupl
         joined = kron(load_json(args.in1, args.normalize), load_json(args.in2, args.normalize))
         return joined.to_jsonable(), False
     if cmd == "check":
-        name = args.check_name
-        if name == "chain":
-            return _checks_payload(check_chain(load_json(args.infile, args.normalize)))
-        if name == "two-atom":
-            return _checks_payload([check_two_atom_bound(load_json(args.infile, args.normalize))])
-        if name == "peyre":
-            return _checks_payload([check_peyre_bound(load_json(args.infile, args.normalize))])
-        if name == "csaki-fischer":
-            return _checks_payload(
-                check_csaki_fischer(load_json(args.in1, args.normalize), load_json(args.in2, args.normalize))
-            )
-        if name == "cousin":
-            return _checks_payload(
-                check_cousin(load_json(args.in1, args.normalize), load_json(args.in2, args.normalize))
-            )
-        if name == "cousin-multi":
-            ms = [load_json(f, args.normalize) for f in args.infiles]
-            return _checks_payload([check_cousin_multi(ms)])
-        parser.error(f"unknown check {name!r}")
+        inputs, checker = _CHECKS[args.check_name]
+        load = functools.partial(load_json, normalize=args.normalize)
+        loaded = [
+            [*map(load, getattr(args, dest))] if nargs else load(getattr(args, dest))
+            for _, dest, nargs in inputs
+        ]
+        checks = checker(*loaded)
+        return {"checks": [c.to_jsonable() for c in checks]}, any(not c.passed for c in checks)
     if cmd == "fuzz":
         report = fuzz(
             shapes=args.shape,
@@ -225,20 +213,15 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tupl
     if cmd == "theorem6":
         if (args.g is None) != (args.h is None):
             parser.error("--g and --h must be given together")
+        mc = _mc_settings(args, parser, 100_000)
         sb = _load_scored_base(args.base, args.g, args.h)
         method = "monte_carlo" if args.method == "mc" else "exact"
-        if method == "monte_carlo" and args.seed is None:
-            parser.error("--seed is required for --method mc")
-        est = theorem6_corr(sb, args.n, method=method, samples=args.samples, seed=args.seed)
-        return est.to_jsonable(), False
+        return theorem6_corr(sb, args.n, method=method, **mc).to_jsonable(), False
     if cmd == "witness-search":
-        if args.method != "exact" and args.seed is None:
-            parser.error("--seed is required unless --method exact")
+        mc = _mc_settings(args, parser, 200_000)
         sb = _load_scored_base(args.base)
         method = {"mc": "monte_carlo"}.get(args.method, args.method)
-        hit = theorem6_witness_search(
-            args.t, sb, args.nmax, method=method, samples=args.samples, seed=args.seed
-        )
+        hit = theorem6_witness_search(args.t, sb, args.nmax, method=method, **mc)
         payload = {
             "t": args.t,
             "r": sb.r,
@@ -249,25 +232,38 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tupl
         return payload, False
     if cmd == "lemma7":
         return lemma7_profile(args.grid).to_jsonable(), False
-    if cmd == "search":
-        cfg = SearchConfig(
-            shape=tuple(args.shape),
-            tau_cap=args.tau_cap,
-            two_atom=getattr(args, "two_atom", False),
-            budget=args.budget,
-            restarts=args.restarts,
-            seed=args.seed,
-            step_scale=args.step_scale,
-        )
-        if args.objective == "rho":
-            result = search_max_rho(cfg)
-        else:
-            result = search_tensor_gap(cfg, n_max=args.nmax)
-        payload = result.to_jsonable()
-        payload["config"] = cfg.to_jsonable()
-        return payload, False
-    parser.error(f"unknown command {cmd!r}")
-    raise AssertionError("unreachable")
+    # search, the last command
+    cfg = SearchConfig(
+        shape=tuple(args.shape),
+        tau_cap=args.tau_cap,
+        two_atom=getattr(args, "two_atom", False),
+        budget=args.budget,
+        restarts=args.restarts,
+        seed=args.seed,
+        step_scale=args.step_scale,
+    )
+    if args.objective == "rho":
+        result = search_max_rho(cfg)
+    else:
+        result = search_tensor_gap(cfg, n_max=args.nmax)
+    payload = result.to_jsonable()
+    payload["config"] = cfg.to_jsonable()
+    return payload, False
+
+
+def _mc_settings(args: argparse.Namespace, parser: argparse.ArgumentParser, samples: int) -> dict:
+    """Monte Carlo keyword arguments: none for --method exact, which rejects
+    --samples and --seed; otherwise a seed is required, and the default
+    ``samples`` is filled in so the manifest records it."""
+    if args.method == "exact":
+        if args.samples is not None or args.seed is not None:
+            parser.error("--method exact takes no --samples or --seed")
+        return {}
+    if args.seed is None:
+        parser.error("--seed is required unless --method exact")
+    if args.samples is None:
+        args.samples = samples
+    return {"samples": args.samples, "seed": args.seed}
 
 
 def _load_scored_base(path: str, g=None, h=None) -> ScoredBase:
@@ -296,11 +292,8 @@ def _manifest(args: argparse.Namespace, started: str, finished: str) -> dict:
 
 
 def _emit(document: dict, args: argparse.Namespace) -> None:
-    if args.format == "csv":
-        trace = document["result"].get("trace")
-        if trace is None:
-            raise DependenceError("--format csv is only available for search traces")
-        lines = ["iteration,objective"] + [f"{k},{v!r}" for k, v in trace]
+    if getattr(args, "format", "json") == "csv":
+        lines = ["iteration,objective"] + [f"{k},{v!r}" for k, v in document["result"]["trace"]]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(document, sort_keys=True) + "\n"

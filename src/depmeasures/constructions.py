@@ -17,7 +17,9 @@ Contents:
     level.  The exact lattice path uses :func:`score_sum_law`, the n-fold
     joint law of integer score sums, which the tensor-gap search also uses;
     it convolves on the sublattice that the positive-mass scores span and
-    returns the law on the full grid;
+    returns the law on the full grid.  A sum of exactly 0 counts as not
+    positive, and is decided in integers on every side whose scores lie on
+    a lattice;
   * a grid profile of f(t) = t(1 - log t) - sin(pi t / 2), which is
     positive on (0, 1) with f(1) = f'(1) = 0 and a single inflection of
     f'' in the interior.
@@ -268,6 +270,32 @@ def _lattice_scale(values: np.ndarray, max_den: int, tol: float = 1e-9) -> int |
     return scale
 
 
+def _integer_scores(sb: ScoredBase, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Integer scores of the row and column atoms whose sums have the signs
+    of the sums of ``g`` and of ``h``; None for a side that has none.
+
+    Both sides share one scale when all their scores admit a common
+    denominator up to ``LATTICE_MAX_DENOMINATOR``.  Otherwise each side,
+    divided by its smallest |score| above the lattice tolerance, is tried
+    alone, so the (-sqrt 2, sqrt 2 / 2) scores of masses (1/3, 2/3) become
+    (-2, 1).  A side whose n-fold sums could leave int64 gets None too.
+    """
+    scale = _lattice_scale(np.concatenate([sb.g, sb.h]), LATTICE_MAX_DENOMINATOR)
+    if scale is not None:
+        return _on_lattice(sb.g * scale, n), _on_lattice(sb.h * scale, n)
+    return _side_on_lattice(sb.g, n), _side_on_lattice(sb.h, n)
+
+
+def _side_on_lattice(x: np.ndarray, n: int) -> np.ndarray | None:
+    unit = x / np.abs(x)[np.abs(x) > 1e-9].min()
+    scale = _lattice_scale(unit, LATTICE_MAX_DENOMINATOR)
+    return None if scale is None else _on_lattice(unit * scale, n)
+
+
+def _on_lattice(x: np.ndarray, n: int) -> np.ndarray | None:
+    return np.rint(x).astype(np.int64) if n * float(np.abs(x).max()) < 2.0**62 else None
+
+
 def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
     """Joint law of the integer score sums of n i.i.d. copies of a base.
 
@@ -316,11 +344,26 @@ def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> 
     return law, n * amin, n * bmin
 
 
-def _exact_corr_lattice(sb: ScoredBase, n: int, scale: int) -> float:
+def _exact_corr(sb: ScoredBase, n: int) -> float:
+    """Exact indicator correlation, every tie decided in integers where it can be.
+
+    The lattice law runs when both sides have integer scores; when its grid
+    passes the state cap, or a side has none, every atom sequence is
+    enumerated instead, summing integers on each side that has them.
+    """
+    a, b = _integer_scores(sb, n)
+    if a is not None and b is not None:
+        try:
+            return _exact_corr_lattice(sb, n, a, b)
+        except StateSpaceTooLarge:
+            if _sequences_exceed_cap(sb, n):
+                raise
+    return _exact_corr_enumerate(sb, n, a, b)
+
+
+def _exact_corr_lattice(sb: ScoredBase, n: int, a: np.ndarray, b: np.ndarray) -> float:
     """Indicator correlation from the joint law of integer score sums."""
-    a_vals = np.rint(sb.g * scale).astype(np.int64)
-    b_vals = np.rint(sb.h * scale).astype(np.int64)
-    cur, lo_a, lo_b = score_sum_law(sb.base.entries, a_vals, b_vals, n)
+    cur, lo_a, lo_b = score_sum_law(sb.base.entries, a, b, n)
     pos_a = np.arange(cur.shape[0]) + lo_a > 0
     pos_b = np.arange(cur.shape[1]) + lo_b > 0
     qa = float(cur[pos_a, :].sum())
@@ -329,31 +372,31 @@ def _exact_corr_lattice(sb: ScoredBase, n: int, scale: int) -> float:
     return _indicator_corr(q11, qa, qb)
 
 
-def _exact_corr_enumerate(sb: ScoredBase, n: int) -> float:
-    """Vectorized enumeration of all (I*J)^n atom sequences."""
-    cells = [
-        (float(sb.g[i]), float(sb.h[j]), float(sb.base.entries[i, j]))
-        for i in range(sb.base.n_rows)
-        for j in range(sb.base.n_cols)
-        if sb.base.entries[i, j] > 0.0
-    ]
-    n_cells = len(cells)
-    if n_cells**n > STATE_CAP:
-        raise StateSpaceTooLarge(
-            f"{n_cells}^{n} sequences exceed the {STATE_CAP} cap"
-        )
-    gstep = np.array([c[0] for c in cells])
-    hstep = np.array([c[1] for c in cells])
-    pstep = np.array([c[2] for c in cells])
-    sums_g = np.zeros(1)
-    sums_h = np.zeros(1)
+def _sequences_exceed_cap(sb: ScoredBase, n: int) -> bool:
+    # at least 2 cells carry mass, so past n = 64 the count exceeds any cap
+    return int(np.count_nonzero(sb.base.entries > 0.0)) ** min(n, 64) > STATE_CAP
+
+
+def _exact_corr_enumerate(
+    sb: ScoredBase, n: int, a: np.ndarray | None, b: np.ndarray | None
+) -> float:
+    """Vectorized enumeration of all (I*J)^n atom sequences; the sums of a
+    side run on its integer scores ``a`` or ``b`` unless that is None."""
+    rows, cols = np.nonzero(sb.base.entries > 0.0)
+    if _sequences_exceed_cap(sb, n):
+        raise StateSpaceTooLarge(f"{rows.size}^{n} sequences exceed the {STATE_CAP} cap")
+    gstep = (sb.g if a is None else a)[rows]
+    hstep = (sb.h if b is None else b)[cols]
+    pstep = sb.base.entries[rows, cols]
+    sums_g = np.zeros(1, dtype=gstep.dtype)
+    sums_h = np.zeros(1, dtype=hstep.dtype)
     probs = np.ones(1)
     for _ in range(n):
         sums_g = (sums_g[:, None] + gstep[None, :]).ravel()
         sums_h = (sums_h[:, None] + hstep[None, :]).ravel()
         probs = (probs[:, None] * pstep[None, :]).ravel()
-    mask_a = sums_g > 0.0
-    mask_b = sums_h > 0.0
+    mask_a = sums_g > 0
+    mask_b = sums_h > 0
     qa = float(probs[mask_a].sum())
     qb = float(probs[mask_b].sum())
     q11 = float(probs[mask_a & mask_b].sum())
@@ -369,11 +412,14 @@ def _mc_corr(sb: ScoredBase, n: int, samples: int, seed: int) -> tuple[float, fl
     numpy's multinomial sampler releases the interpreter lock.  Every
     stream yields three integer counts, and integer sums are exact, so the
     estimate and its standard error do not depend on the number of CPUs;
-    no setting chooses it.
+    no setting chooses it.  Each draw is projected onto the integer scores
+    of :func:`_integer_scores` on every side that has them, so a sum that
+    is 0 in exact arithmetic counts as not positive.
     """
     p_cells = _sampler_masses(sb.base.entries.ravel())
-    g_cell = np.repeat(sb.g, sb.base.n_cols)
-    h_cell = np.tile(sb.h, sb.base.n_rows)
+    a, b = _integer_scores(sb, n)
+    g_cell = np.repeat(sb.g if a is None else a, sb.base.n_cols)
+    h_cell = np.tile(sb.h if b is None else b, sb.base.n_rows)
     n_streams = -(-samples // MC_STREAM_SIZE)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, n_streams)
@@ -388,8 +434,8 @@ def _mc_corr(sb: ScoredBase, n: int, samples: int, seed: int) -> tuple[float, fl
             take = min(MC_STREAM_SIZE, samples - stream * MC_STREAM_SIZE)
             for done in range(0, take, _MC_BLOCK):
                 counts = rng.multinomial(n, p_cells, size=min(_MC_BLOCK, take - done))
-                ya = counts @ g_cell > 0.0
-                zb = counts @ h_cell > 0.0
+                ya = counts @ g_cell > 0
+                zb = counts @ h_cell > 0
                 n11 += int((ya & zb).sum())
                 na += int(ya.sum())
                 nb += int(zb.sum())
@@ -456,13 +502,17 @@ def theorem6_corr(
 ) -> CltEstimate:
     """Corr(1[Y_n > 0], 1[Z_n > 0]) for Y_n, Z_n sums of n scored copies.
 
-    Exact mode convolves on an integer lattice when both score vectors
-    admit a common denominator up to 1e4 (integer-exact thresholding at 0,
-    ties count as not positive), and falls back to full sequence
-    enumeration under the state cap.  Monte Carlo needs ``samples`` >= 1000
-    and a seed; its standard error comes from the delta method.  ``auto``
-    prefers exact and falls back to Monte Carlo.  ``n`` and ``samples``
-    follow the integer rule of :func:`_check_integer`.
+    A tie (a sum of exactly 0) counts as not positive, and it is decided
+    in integers on every side with integer scores: both sides on one scale
+    when all scores admit a common denominator up to 1e4, else each side
+    by itself once divided by its smallest |score|.  Exact mode convolves
+    on that integer lattice when both sides have one and its grid fits the
+    state cap, and otherwise enumerates every atom sequence under the cap,
+    summing floats only on a side without integer scores.  Monte Carlo
+    projects its draws onto the same scores; it needs ``samples`` >= 1000
+    and a seed, and its standard error comes from the delta method.
+    ``auto`` prefers exact and falls back to Monte Carlo.  ``n`` and
+    ``samples`` follow the integer rule of :func:`_check_integer`.
     """
     n = _check_integer("n", n)
     samples = _check_integer("samples", samples)
@@ -472,14 +522,7 @@ def theorem6_corr(
         raise OutOfRange(f"unknown method {method!r}")
 
     def run_exact() -> CltEstimate:
-        scale = _lattice_scale(
-            np.concatenate([sb.g, sb.h]), LATTICE_MAX_DENOMINATOR
-        )
-        if scale is not None:
-            value = _exact_corr_lattice(sb, n, scale)
-        else:
-            value = _exact_corr_enumerate(sb, n)
-        value = min(max(value, -1.0), 1.0)
+        value = min(max(_exact_corr(sb, n), -1.0), 1.0)
         return CltEstimate(n=n, value=value, stderr=0.0, method="exact", samples=0)
 
     def run_mc() -> CltEstimate:

@@ -138,10 +138,8 @@ def tau_sqrt_log_bound(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _shape_digest(M: JointPMF, **extra) -> dict:
-    d = {"shape": [M.n_rows, M.n_cols]}
-    d.update(extra)
-    return d
+def _shape_digest(M: JointPMF) -> dict:
+    return {"shape": [M.n_rows, M.n_cols]}
 
 
 def _chain_results(rep: DependenceReport, digest: dict) -> list[CheckResult]:

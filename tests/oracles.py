@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -126,6 +127,45 @@ def sum_indicator_corr_bruteforce(entries: np.ndarray, g, h, n: int) -> float:
             qb += p
         if sg > 0 and sh > 0:
             q11 += p
+    den = math.sqrt(qa * (1 - qa) * qb * (1 - qb))
+    if den <= 0:
+        return 0.0
+    return (q11 - qa * qb) / den
+
+
+def sum_indicator_corr_rational(entries: np.ndarray, g, h, n: int) -> float:
+    """Corr(1[sum g > 0], 1[sum h > 0]) with every score sum taken exactly.
+
+    ``g`` and ``h`` are exact scores (ints or Fractions) with the signs of
+    sums of the normalized float scores, e.g. the centered raw scores.
+    Every count vector of n draws over the positive cells is summed with
+    ``Fraction``, so a sum that is 0 in exact arithmetic counts as not
+    positive; its probability is the multinomial coefficient times the
+    product of the float masses.
+    """
+    n_rows, n_cols = entries.shape
+    cells = [
+        (Fraction(g[i]), Fraction(h[j]), float(entries[i, j]))
+        for i in range(n_rows)
+        for j in range(n_cols)
+        if entries[i, j] > 0
+    ]
+    qa, qb, q11 = [], [], []
+    for draw in itertools.combinations_with_replacement(range(len(cells)), n):
+        counts = [draw.count(c) for c in range(len(cells))]
+        ways = math.factorial(n)
+        for k in counts:
+            ways //= math.factorial(k)
+        p = ways * math.prod(cell[2] ** k for cell, k in zip(cells, counts))
+        sg = sum(k * cell[0] for cell, k in zip(cells, counts))
+        sh = sum(k * cell[1] for cell, k in zip(cells, counts))
+        if sg > 0:
+            qa.append(p)
+        if sh > 0:
+            qb.append(p)
+        if sg > 0 and sh > 0:
+            q11.append(p)
+    qa, qb, q11 = math.fsum(qa), math.fsum(qb), math.fsum(q11)
     den = math.sqrt(qa * (1 - qa) * qb * (1 - qb))
     if den <= 0:
         return 0.0

@@ -175,11 +175,6 @@ class TestSearchCli:
         assert lines[0] == "iteration,objective"
         assert len(lines) >= 2
 
-    def test_csv_rejected_elsewhere(self, tmp_path):
-        f = tmp_path / "m.json"
-        write_matrix(f, random_joint(2, 2, seed=9))
-        assert run(["measures", "--in", str(f), "--format", "csv"]) == 2
-
 
 class TestTheorem6Cli:
     def test_exact_run(self, tmp_path):
@@ -367,12 +362,24 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
         ["theorem6", "--base", "BASE", "--g=a,b", "--h=-1,1", "--n", "1"],
         ["theorem6", "--base", "BASE", "--g=-1,1", "--n", "1"],
         ["witness-search", "--base", "BASE", "--t", "0.5", "--nmax", "2", "--method", "mc"],
+        ["measures", "--in", "BASE", "--format", "csv"],
+        ["fuzz", "--count", "3000", "--shape", "3x3", "--seed", "1", "--format", "csv"],
+        ["theorem6", "--base", "BASE", "--g=-1,1", "--h=-1,1", "--n", "4", "--samples", "7"],
+        ["theorem6", "--base", "BASE", "--g=-1,1", "--h=-1,1", "--n", "4", "--method", "exact",
+         "--seed", "3"],
+        ["witness-search", "--base", "BASE", "--t", "0.5", "--nmax", "2", "--method", "exact",
+         "--samples", "5000"],
+        ["witness-search", "--base", "BASE", "--t", "0.5", "--nmax", "2", "--method", "exact",
+         "--seed", "1"],
     ],
     ids=["shape-text", "tensor-gap-two-atom", "text-scores", "g-without-h",
-         "witness-search-mc-without-seed"],
+         "witness-search-mc-without-seed", "csv-elsewhere", "fuzz-csv",
+         "theorem6-exact-samples", "theorem6-exact-seed", "witness-search-exact-samples",
+         "witness-search-exact-seed"],
 )
 def test_usage_error_exits_2(tmp_path, capsys, command):
-    # --two-atom picks the rho search's bound; tensor-gap once recorded it and ignored it
+    # an option is offered only where it acts: --two-atom on search rho,
+    # --format on search, --samples and --seed where Monte Carlo can run
     base = tmp_path / "yy.json"
     assert run(["yy", "--t", "0.5", "--out", str(base)]) == 0
     command = [str(base) if arg == "BASE" else arg for arg in command]
@@ -382,6 +389,20 @@ def test_usage_error_exits_2(tmp_path, capsys, command):
     assert exc.value.code == 2
     assert not out.exists()
     assert "error: " in capsys.readouterr().err
+
+
+def test_theorem6_manifest_records_only_the_settings_that_act(tmp_path):
+    base = tmp_path / "yy.json"
+    assert run(["yy", "--t", "0.5", "--out", str(base)]) == 0
+    exact, mc = tmp_path / "exact.json", tmp_path / "mc.json"
+    argv = ["theorem6", "--base", str(base), "--g=-1,1", "--h=-1,1", "--n", "4"]
+    assert run(argv + ["--out", str(exact)]) == 0
+    assert run(argv + ["--method", "mc", "--seed", "3", "--out", str(mc)]) == 0
+    exact_doc, mc_doc = read_doc(exact), read_doc(mc)
+    assert {"samples", "seed"}.isdisjoint(exact_doc["manifest"]["parameters"])
+    assert exact_doc["manifest"]["seed"] is None and exact_doc["result"]["samples"] == 0
+    assert mc_doc["manifest"]["parameters"]["samples"] == mc_doc["result"]["samples"] == 100_000
+    assert mc_doc["manifest"]["parameters"]["seed"] == mc_doc["manifest"]["seed"] == 3
 
 
 def test_tensor_gap_records_no_two_atom_parameter(tmp_path):

@@ -34,7 +34,7 @@ from depmeasures.theorem_suite import BOUND_TOL
 
 from lattice_oracle import full_grid_score_sum_law
 from mc_oracle import mc_corr
-from oracles import sum_indicator_corr_bruteforce
+from oracles import sum_indicator_corr_bruteforce, sum_indicator_corr_rational
 
 # Root of f'' on (0, 1), computed independently with mpmath findroot.
 C_ROOT_REFERENCE = 0.5401714199816521
@@ -357,6 +357,52 @@ class TestTheorem6Corr:
         sb = make_scored_base(base, res.witness[0], res.witness[1])
         est = theorem6_corr(sb, 64, method="auto", samples=5000, seed=9)
         assert est.method == "monte_carlo"
+
+
+# Masses (1/3, 2/3) on each side center the scores (-1, 1) to (-4/3, 2/3),
+# which normalize to (-sqrt 2, sqrt 2 / 2): no common denominator, but each
+# side is (-2, 1) times its smallest |score|, and -2k + (n - k) ties at 0.
+THIRDS = [[0.2, 0.1333333333333333], [0.1333333333333333, 0.5333333333333333]]
+
+
+def thirds_base():
+    return make_scored_base(from_matrix(THIRDS), [-1, 1], [-1, 1])
+
+
+class TestExactTies:
+    """A score sum that is 0 in exact arithmetic counts as not positive."""
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_exact_matches_rational_oracle(self, n):
+        sb = thirds_base()
+        want = sum_indicator_corr_rational(sb.base.entries, [-2, 1], [-2, 1], n)
+        assert theorem6_corr(sb, n, method="exact").value == pytest.approx(want, abs=1e-12)
+
+    def test_mc_within_4_stderr(self):
+        sb = thirds_base()
+        want = sum_indicator_corr_rational(sb.base.entries, [-2, 1], [-2, 1], 3)
+        est = theorem6_corr(sb, 3, method="monte_carlo", samples=10**6, seed=1)
+        assert abs(est.value - want) <= 4 * est.stderr
+
+    def test_one_side_on_its_lattice(self):
+        # the column scores share no lattice: only that side sums floats
+        m = np.outer([1 / 3, 2 / 3], [0.25, 0.35, 0.4]) + [[0.02, 0.0, -0.02], [-0.02, 0.0, 0.02]]
+        sb = make_scored_base(from_matrix(m), [-1, 1], [0, 1, math.sqrt(2)])
+        a, b = constructions._integer_scores(sb, 6)
+        assert a.tolist() == [-2, 1] and b is None
+        want = sum_indicator_corr_rational(sb.base.entries, [-2, 1], sb.h, 6)
+        assert theorem6_corr(sb, 6, method="exact").value == pytest.approx(want, abs=1e-12)
+
+    def test_wide_lattice_falls_back_to_enumeration(self):
+        # each side is (-5679, 4321) times its smallest |score|: the n = 3
+        # grid passes the state cap, and the 4^3 sequences are enumerated
+        marg = np.array([0.4321, 0.5679])
+        m = np.outer(marg, marg) + [[0.05, -0.05], [-0.05, 0.05]]
+        sb = make_scored_base(from_matrix(m), [-1, 1], [-1, 1])
+        a, b = constructions._integer_scores(sb, 3)
+        assert a.tolist() == b.tolist() == [-5679, 4321]
+        want = sum_indicator_corr_rational(sb.base.entries, [-5679, 4321], [-5679, 4321], 3)
+        assert theorem6_corr(sb, 3, method="exact").value == pytest.approx(want, abs=1e-12)
 
 
 MC_BASES = {

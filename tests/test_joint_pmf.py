@@ -442,3 +442,14 @@ def test_merge_preserves_total(m):
     merged = merge_rows(m, 0, 1)
     assert abs(merged.entries.sum() - 1.0) <= 1e-9
     assert np.allclose(marginals(merged).col, marginals(m).col, atol=1e-15)
+
+
+def test_package_exports_no_future_feature():
+    # __all__ was every non-underscore name, the `from __future__` import too
+    import depmeasures
+
+    assert "annotations" not in depmeasures.__all__
+    assert "from_matrix" in depmeasures.__all__
+    namespace = {}
+    exec("from depmeasures import *", namespace)
+    assert "annotations" not in namespace
