@@ -40,7 +40,8 @@ Witness rule: in both modes the statistic of each witness pair, by
 :func:`event_statistic`, must agree with the scan's or the heuristic's raw
 value within ``WITNESS_TOL`` relative to max(1, |value|), else
 InvariantViolation is raised.  An exact value is reported as its witness's
-statistic; a heuristic value as the heuristic found it.
+statistic; a heuristic value as the heuristic found it.  Stacked quotes,
+by ``_stacked_quotes``, are bit for bit :func:`event_statistic`'s.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ from .errors import (
     ConvergenceFailure,
     InvariantViolation,
     OutOfRange,
+    ShapeError,
     TooLargeForExact,
 )
-from .joint_pmf import EventPair, JointPMF, event_masks
+from .joint_pmf import EventPair, JointPMF, event_masks, holds_bool_or_text
 
 KINDS = ("psi", "lambda", "tau")
 MODES = ("exact", "heuristic", "auto")
@@ -205,6 +207,35 @@ def _statistic(kind: str, num, pa, pac, pb, pbc) -> np.ndarray:
         else:
             stat = num / np.sqrt(da) / np.sqrt(db)
     return np.where((da > 0.0) & (db > 0.0), stat, 0.0)
+
+
+def _stacked_quotes(stack: np.ndarray, Ms: Sequence[JointPMF], pairs: Sequence[tuple]) -> dict:
+    """:func:`event_statistic` of every kind at each (i, pair) of ``pairs``,
+    bit for bit: the pair's statistic on ``Ms[i]``, whose entries are ``stack[i]``.
+
+    :func:`_quadrants` sums F-contiguous blocks, so numpy's pairwise rule
+    reduces each block's elements in column-major order; gathered
+    column-major into the rows of a C-contiguous array, the same elements
+    reduce by the same rule along axis 1.  Blocks of one shape share one
+    gather; empty blocks are 0.0.
+    """
+    at = np.array([i for i, _ in pairs])[:, None, None]
+    rmasks, cmasks = map(np.array, zip(*(event_masks(Ms[i], e) for i, e in pairs)))
+    sums = []
+    for rsel in (rmasks, ~rmasks):
+        for csel in (cmasks, ~cmasks):
+            out = np.zeros(len(at))
+            shapes: dict[tuple[int, int], list[int]] = {}
+            for q, shape in enumerate(zip(rsel.sum(axis=1).tolist(), csel.sum(axis=1).tolist())):
+                shapes.setdefault(shape, []).append(q)
+            for (a, k), qs in shapes.items():
+                rows = rsel[qs].nonzero()[1].reshape(len(qs), 1, a)
+                cols = csel[qs].nonzero()[1].reshape(len(qs), k, 1)
+                out[qs] = stack[at[qs], rows, cols].reshape(len(qs), a * k).sum(axis=1)
+            sums.append(out)
+    p11, p10, p01, p00 = sums
+    num = np.abs(p11 * p00 - p10 * p01)
+    return {k: _statistic(k, num, p11 + p10, p01 + p00, p11 + p01, p10 + p00) for k in KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -577,20 +608,20 @@ def _witnessed(
         values, wit = {}, {}
         for k in kinds:
             values[k], wit[k] = _heuristic_scan(M.entries, k)
-    return _quoted(M, values, wit, exact), wit, "exact" if exact else "heuristic"
+    quotes = {k: event_statistic(M, wit[k], k) for k in values}
+    return _quoted(values, quotes, exact), wit, "exact" if exact else "heuristic"
 
 
-def _quoted(
-    M: JointPMF, values: dict[str, float], wit: dict[str, EventPair], exact: bool
-) -> dict[str, float]:
-    """``values`` under the witness rule of the module docstring.
+def _quoted(values: dict[str, float], quotes: dict[str, float], exact: bool) -> dict[str, float]:
+    """``values`` under the witness rule of the module docstring, given each
+    witness's statistic ``quotes[k]``.
 
-    Evaluates each witness's statistic once.  Exact values are quoted at the
-    witness because the scan and the single-pair evaluation follow different
-    float paths: quoting keeps witness fidelity exact at every magnitude.
+    Exact values are quoted at the witness because the scan and the
+    single-pair evaluation follow different float paths: quoting keeps
+    witness fidelity exact at every magnitude.
     """
     for k, value in values.items():
-        quoted = event_statistic(M, wit[k], k)
+        quoted = quotes[k]
         _require_finite(k, value, quoted)
         if abs(quoted - value) > WITNESS_TOL * max(1.0, abs(quoted)):
             used = "exact" if exact else "heuristic"
@@ -744,16 +775,34 @@ def _centered_top_pair(
     return u, v / np.linalg.norm(v)
 
 
+def _scores(x, n: int, side: str) -> tuple[np.ndarray, float]:
+    """Scores over n atoms as float64, and their largest magnitude: OutOfRange
+    unless they are finite real numbers, ShapeError unless there are n."""
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRange(f"{side} scores must be real numbers: {exc}") from None
+    if arr.shape != (n,):
+        raise ShapeError(f"{side} scores have shape {arr.shape}, M has {n} {side} atoms")
+    if holds_bool_or_text(x):
+        raise OutOfRange(f"{side} scores must be real numbers, not booleans or strings")
+    scale = float(np.abs(arr).max(initial=0.0))
+    if not math.isfinite(scale):
+        raise OutOfRange(f"{side} scores must be finite")
+    return arr, scale
+
+
 def score_correlation(M: JointPMF, f: np.ndarray, g: np.ndarray) -> float:
-    """Correlation of score functions f(row), g(col) under the joint law."""
+    """Correlation of score functions f(row), g(col) under the joint law.
+
+    Scores must be finite reals (else OutOfRange), one per atom (else ShapeError)."""
     # Correlation is scale-invariant: max-abs scaling keeps squared scores
     # finite, and the staged division keeps vf * vg from underflowing.
-    f_scale = np.abs(np.asarray(f, dtype=np.float64)).max(initial=0.0)
-    g_scale = np.abs(np.asarray(g, dtype=np.float64)).max(initial=0.0)
+    f, f_scale = _scores(f, M.n_rows, "row")
+    g, g_scale = _scores(g, M.n_cols, "column")
     if f_scale <= 0.0 or g_scale <= 0.0:
         return 0.0
-    f = np.asarray(f, dtype=np.float64) / f_scale
-    g = np.asarray(g, dtype=np.float64) / g_scale
+    f, g = f / f_scale, g / g_scale
     r = M.entries.sum(axis=1)
     c = M.entries.sum(axis=0)
     ef = float(r @ f)

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import InvariantViolation, OutOfRange, ShapeError, TooLargeForExact
 from .joint_pmf import STATE_CAP, EventPair, JointPMF, _check_seed, kron, kron_all, random_joint
 from .measures import CHAIN_TOL, KINDS, DependenceReport, RhoResult, full_report, within_exact_cap
-from .measures import _checked_rho, _exact_scan, _quoted, _report, _spectral_parts, rho as _rho
+from .measures import _checked_rho, _exact_scan, _quoted, _report, _spectral_parts, _stacked_quotes
+from .measures import rho as _rho
 
 BOUND_TOL = 1e-9
 SPECTRAL_EQ_TOL = 1e-8
@@ -369,8 +370,10 @@ def fuzz(
 
 def _chunk_parts(cases: list[tuple]) -> dict:
     """The unchecked parts of every matrix of a chunk, keyed by the matrix: its
-    exact scan (None for a partner and join beyond the exact caps) and its
-    :func:`_spectral_parts` entry.  Matrices of one kind and shape form a stack.
+    exact scan with its witness quotes (None for a partner and join beyond the
+    exact caps) and its :func:`_spectral_parts` entry.  Matrices of one kind
+    and shape form a stack; each distinct (matrix, witness pair) of a stack is
+    quoted once, in one :func:`_stacked_quotes` call.
     """
     stacks: defaultdict = defaultdict(list)
     for _, _, m_a, m_b, joined in cases:
@@ -382,23 +385,31 @@ def _chunk_parts(cases: list[tuple]) -> dict:
     parts = {}
     for (exact, _), Ms in stacks.items():
         entries = [M.entries for M in Ms]
-        values, wits = _exact_scan(np.array(entries), KINDS, witnesses=True) if exact else ({}, {})
+        values, wits, quotes = {}, {}, {}
+        if exact:
+            stack = np.array(entries)
+            values, wits = _exact_scan(stack, KINDS, witnesses=True)
+            pairs = list(dict.fromkeys((i, w[i]) for i in range(len(Ms)) for w in wits.values()))
+            stats = _stacked_quotes(stack, Ms, pairs)
+            quotes = {k: dict(zip(pairs, s.tolist())) for k, s in stats.items()}
         for i, (M, spectral) in enumerate(zip(Ms, _spectral_parts(entries))):
-            scan = {k: v[i] for k, v in values.items()}, {k: w[i] for k, w in wits.items()}
+            wit = {k: w[i] for k, w in wits.items()}
+            quoted = {k: quotes[k][i, e] for k, e in wit.items()}
+            scan = {k: v[i] for k, v in values.items()}, wit, quoted
             parts[M] = (scan if exact else None, spectral)
     return parts
 
 
 def _checked(M: JointPMF, parts: dict) -> DependenceReport | RhoResult:
     """M's exact report with every check :func:`full_report` runs, in its
-    order, or its checked :func:`rho` where its parts hold no scan.  The
-    parts are consumed, so a chunk's memory falls as its checks run."""
+    order, its witness quotes taken from its parts, or its checked
+    :func:`rho` where its parts hold no scan.  The parts are consumed, so a
+    chunk's memory falls as its checks run."""
     scan, spectral = parts.pop(M)
     if scan is None:
         return _checked_rho(*spectral)
-    values, wit = scan
-    values = _quoted(M, values, wit, True)
-    return _report(M, values, wit, "exact", _checked_rho(*spectral))
+    values, wit, quotes = scan
+    return _report(M, _quoted(values, quotes, True), wit, "exact", _checked_rho(*spectral))
 
 
 def _near_sharp(results: list[CheckResult]) -> list[CheckResult]:

@@ -10,6 +10,7 @@ directly: every matrix of a stack gets the bits it gets alone.
 
 import importlib.util
 import json
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -180,6 +181,36 @@ def test_report_failure_on_a_partner_raises_after_its_join(fail_joins, monkeypat
     fuzz_oracle.fuzz(**kwargs, include_pair_checks=False)  # no instance fails
     message = assert_same_first_error(**kwargs)
     assert message.startswith("(9, 9)" if fail_joins else "(3, 3)")
+
+
+@pytest.mark.parametrize("joins_only", [True, False])
+def test_witness_failure_deep_in_a_chunk_raises_the_oracle_error(joins_only, monkeypatch):
+    # The scan's tau is moved off its witness quote by 1e-6 per column on
+    # matrices whose tau lies in a narrow band, so they fail the witness
+    # rule.  At this seed the first such matrix is the 9x9 join of instance
+    # 19, deep in the first chunk.  With every shape moved, its partner
+    # (quoted in the 3x3 stack, ahead of every join) fails too, but is
+    # checked after the join.
+    scan = measures._exact_scan
+
+    def moved(entries, kinds=KINDS, witnesses=False):
+        values, wit = scan(entries, kinds, witnesses)
+        n_cols = entries.shape[-1]
+        if "tau" in values and (n_cols == 9 or not joins_only):
+            def move(t):
+                return t + 1e-6 * n_cols if 0.59 < t < 0.6 else t
+            taus = values["tau"]
+            values["tau"] = [move(t) for t in taus] if entries.ndim == 3 else move(taus)
+        return values, wit
+
+    monkeypatch.setattr(measures, "_exact_scan", moved)
+    monkeypatch.setattr(suite, "_exact_scan", moved)
+    kwargs = dict(shapes=[(3, 3)], styles=STYLES, count=40, seed=8)
+    fuzz_oracle.fuzz(**dict(kwargs, count=19))  # no earlier instance fails
+    message = assert_same_first_error(**kwargs)
+    quoted, found = re.fullmatch(r"tau witness reproduces (\S+), the exact scan found (\S+)",
+                                 message).groups()
+    assert float(found) - float(quoted) == pytest.approx(9e-6)  # the join's
 
 
 def test_count_beyond_the_state_cap_is_rejected():

@@ -10,6 +10,7 @@ from depmeasures import (
     EventPair,
     InvariantViolation,
     OutOfRange,
+    ShapeError,
     TooLargeForExact,
     event_covariance,
     event_measure,
@@ -464,6 +465,26 @@ class TestFullReport:
         for scale in (1e155, 1e300, 1e-300):
             f = np.array([1.0, -1.0]) * scale
             assert score_correlation(m, f, np.array([2.0, -2.0])) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1, 2], [np.inf, 1, 2], [-np.inf, 1, 2],
+                                     ["a", 1, 2], ["1", 2, 3], [True, False, True]])
+    def test_score_correlation_rejects_scores_that_are_not_finite_reals(self, bad):
+        # nan and inf scores once returned nan with a RuntimeWarning, and
+        # strings a bare numpy ValueError
+        m = random_joint(3, 3, 1)
+        good = [1.0, 2.0, 4.0]
+        for f, g in ((bad, good), (good, bad)):
+            with pytest.raises(OutOfRange, match="scores must be"):
+                score_correlation(m, f, g)
+
+    @pytest.mark.parametrize("bad", [[1, 2], [1, 2, 3, 4], [[1, 2, 3]], 1.0])
+    def test_score_correlation_rejects_scores_of_the_wrong_shape(self, bad):
+        m = random_joint(3, 3, 1)
+        good = [1.0, 2.0, 4.0]
+        for f, g in ((bad, good), (good, bad)):
+            with pytest.raises(ShapeError, match="scores have shape"):
+                score_correlation(m, f, g)
+        assert score_correlation(m, good, np.array(good)) == score_correlation(m, good, good)
 
     def test_heuristic_witness_check_is_relative(self):
         # psi reaches 1e39 here, where one ulp exceeds an absolute 1e-12:
