@@ -53,6 +53,7 @@ from .joint_pmf import (
     from_matrix,
     holds_bool_or_text,
     kron,
+    real_array,
     unwrap_manifest,
 )
 from .measures import event_measure, rho as _rho
@@ -182,8 +183,8 @@ def make_scored_base(
 ) -> ScoredBase:
     """Affinely normalize raw scores to mean 0, variance 1 and record r."""
     try:
-        g_arr = np.asarray(g_raw, dtype=np.float64)
-        h_arr = np.asarray(h_raw, dtype=np.float64)
+        g_arr = real_array(g_raw)
+        h_arr = real_array(h_raw)
     except (TypeError, ValueError) as exc:
         raise OutOfRange(f"scores must be lists of real numbers: {exc}") from exc
     if g_arr.shape != (base.n_rows,) or h_arr.shape != (base.n_cols,):

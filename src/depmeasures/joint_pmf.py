@@ -124,6 +124,19 @@ def _as_label_tuple(labels: Sequence[str] | None, n: int, side: str) -> tuple[st
     return labels
 
 
+def real_array(values: object) -> np.ndarray:
+    """``values`` as a float64 array; TypeError when it holds complex numbers.
+
+    A float64 cast of a complex array, or of a list holding numpy complex
+    values, warns and drops the imaginary part; the dtype is checked
+    first, so that cast never runs.  Other failed casts raise as numpy's.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise TypeError("complex numbers are not real")
+    return arr.astype(np.float64, copy=False)
+
+
 def holds_bool_or_text(values: Iterable | np.ndarray) -> bool:
     """True when ``values``, an array or a flat iterable of entries, holds a
     boolean or a string.
@@ -186,7 +199,7 @@ def from_matrix(
     raise NegativeEntry.
     """
     try:
-        arr = np.array(rows, dtype=np.float64)
+        arr = real_array(rows)
     except (TypeError, ValueError) as exc:
         cells = np.array(rows, dtype=object)
         if cells.ndim == 2 and not any(np.ndim(x) for x in cells.flat):

@@ -59,7 +59,7 @@ from .errors import (
     ShapeError,
     TooLargeForExact,
 )
-from .joint_pmf import EventPair, JointPMF, event_masks, holds_bool_or_text
+from .joint_pmf import EventPair, JointPMF, event_masks, holds_bool_or_text, real_array
 
 KINDS = ("psi", "lambda", "tau")
 MODES = ("exact", "heuristic", "auto")
@@ -779,7 +779,7 @@ def _scores(x, n: int, side: str) -> tuple[np.ndarray, float]:
     """Scores over n atoms as float64, and their largest magnitude: OutOfRange
     unless they are finite real numbers, ShapeError unless there are n."""
     try:
-        arr = np.asarray(x, dtype=np.float64)
+        arr = real_array(x)
     except (TypeError, ValueError) as exc:
         raise OutOfRange(f"{side} scores must be real numbers: {exc}") from None
     if arr.shape != (n,):

@@ -26,12 +26,14 @@ Feasibility is decided by the exact tau scan unless rho certifies it: tau
 <= rho, so rho + ``CHAIN_TOL`` <= cap proves tau <= cap (``CHAIN_TOL`` is
 the slack ``full_report`` allows in tau <= rho).  The rho search needs
 rho of every feasible proposal anyway, so each chain keeps one bit of its
-history: it tries the certificate first while the last rho it computed
+history: it tries the certificate first while the last rho it read
 would have certified, and the tau scan first otherwise.  A chain far
 below the cap skips most tau scans; a chain at the cap, where most
-proposals are infeasible, pays what the scan alone costs.  Tau and rho
-are each computed at most once per proposal, and the accept hook gets
-the exact tau.
+proposals are infeasible, pays what the scan alone costs.  Tau, rho and
+the objective are each computed at most once per distinct chain state:
+the state keeps its scores, and a proposal that repeats it byte for byte
+(a collapsed chain proposes its state again and again) reuses them.  The
+accept hook gets the exact tau.
 """
 
 from __future__ import annotations
@@ -148,38 +150,57 @@ def _exact_tau(entries: np.ndarray) -> float:
 
 
 class _ChainScores:
-    """Exact tau and rho of one chain's latest proposal, each computed once.
+    """Exact tau, rho and objective of one chain's latest proposal and state.
 
     One slot, keyed on the array object, serves the feasibility test, the
-    objective and the accept hook of a proposal.  Every rho computed sets
-    the chain's order bit to whether it certifies tau <= cap (see the
-    module docstring); :meth:`feasible` tries the certificate first only
-    while the bit is set.
+    objective and the accept hook of a proposal.  The chain's state keeps
+    its scores under its bytes: a proposal whose bytes equal the state's
+    (the Dirichlet step repeats a collapsed state byte for byte) takes
+    them, so each score is computed at most once per distinct chain state.
+    Every rho read sets the chain's order bit to whether it certifies tau
+    <= cap (see the module docstring); :meth:`feasible` tries the
+    certificate first only while the bit is set.
     """
 
-    def __init__(self, tau_cap: float) -> None:
+    def __init__(self, tau_cap: float, state: np.ndarray, known: dict[str, float]) -> None:
         self.tau_cap = tau_cap
         self._entries: np.ndarray | None = None
-        self._tau: float | None = None
-        self._rho: float | None = None
+        self._scores: dict[str, float] = {}
+        self._state_key, self._state_scores = state.tobytes(), known
         self._rho_first = False
 
     def _slot(self, entries: np.ndarray) -> None:
         if entries is not self._entries:
-            self._entries, self._tau, self._rho = entries, None, None
+            self._entries = entries
+            same = entries.tobytes() == self._state_key
+            self._scores = self._state_scores if same else {}
+
+    def keep(self, state: np.ndarray) -> bool:
+        """Make ``state``, the slot's array, the chain's state.
+
+        Returns whether its bytes differ from the previous state's.
+        """
+        self._slot(state)
+        key = state.tobytes()
+        changed = key != self._state_key
+        self._state_key, self._state_scores = key, self._scores
+        return changed
+
+    def score(self, entries: np.ndarray, name: str, fn: Callable[[np.ndarray], float]) -> float:
+        """``fn(entries)``, computed once per slot and kept with the state."""
+        self._slot(entries)
+        value = self._scores.get(name)
+        if value is None:
+            value = self._scores[name] = fn(entries)
+        return value
 
     def tau(self, entries: np.ndarray) -> float:
-        self._slot(entries)
-        if self._tau is None:
-            self._tau = _exact_tau(entries)
-        return self._tau
+        return self.score(entries, "tau", _exact_tau)
 
     def rho(self, entries: np.ndarray) -> float:
-        self._slot(entries)
-        if self._rho is None:
-            self._rho = _spectral_rho(entries).value
-            self._rho_first = self._rho + CHAIN_TOL <= self.tau_cap
-        return self._rho
+        value = self.score(entries, "rho", lambda e: _spectral_rho(e).value)
+        self._rho_first = value + CHAIN_TOL <= self.tau_cap
+        return value
 
     def feasible(self, entries: np.ndarray) -> bool:
         if self._rho_first and self.rho(entries) + CHAIN_TOL <= self.tau_cap:
@@ -229,6 +250,7 @@ def _anneal(
     """One chain from the feasible ``init``; ``scores`` decides feasibility.
 
     ``objective_fn`` runs once on ``init`` and once per feasible proposal.
+    ``scores`` must start with ``init`` as the chain's state.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,)))
     state = init
@@ -248,9 +270,10 @@ def _anneal(
             accepted = delta >= 0.0 or rng.random() < math.exp(delta / temperature)
             if accepted:
                 state, state_obj = proposal, obj_p
-                alpha = _concentration(state, scale)
                 if on_accept is not None:
                     on_accept(proposal, scores.tau(proposal), obj_p)
+                if scores.keep(state):
+                    alpha = _concentration(state, scale)
                 if obj_p > best_obj:
                     best_obj, best_state = obj_p, proposal
                     trace.append((k + 1, best_obj))
@@ -267,13 +290,14 @@ def _anneal(
     return best_obj, best_state, trace
 
 
-def _feasible_init(cfg: SearchConfig) -> np.ndarray:
-    """The validated sign-pair start, its exact tau within the cap."""
+def _feasible_init(cfg: SearchConfig) -> tuple[np.ndarray, float]:
+    """The validated sign-pair start and its exact tau, within the cap."""
     t = cfg.tau_cap
     for _ in range(4):
         init = _validated(_sign_pair_embedding(cfg.shape, t))
-        if _exact_tau(init) <= cfg.tau_cap:
-            return init
+        tau = _exact_tau(init)
+        if tau <= cfg.tau_cap:
+            return init, tau
         t *= 1.0 - 1e-12  # shave float dust off the embedded level
     raise InvariantViolation("could not construct a feasible initial state")
 
@@ -287,15 +311,17 @@ def _search(
     """Anneal the objective from the feasible start; check and report the best.
 
     Each restart anneals from the same initial state, with the objective
-    ``objective_of`` its own chain scores; the best objective wins (the
-    earliest restart on a tie).  The winner's objective must not exceed
-    ``bound_of`` its exact report (a theorem) nor its tau the cap (checked
-    on every proposal), so a breach raises InvariantViolation.
+    ``objective_of`` its own chain scores; the restarts share the scores of
+    the initial state.  The best objective wins (the earliest restart on a
+    tie).  The winner's objective must not exceed ``bound_of`` its exact
+    report (a theorem) nor its tau the cap (checked on every proposal), so
+    a breach raises InvariantViolation.
     """
-    init = _feasible_init(cfg)
+    init, init_tau = _feasible_init(cfg)
+    init_scores = {"tau": init_tau}
     outcomes = []
     for restart in range(cfg.restarts):
-        scores = _ChainScores(cfg.tau_cap)
+        scores = _ChainScores(cfg.tau_cap, init, init_scores)
         outcomes.append(_anneal(cfg, objective_of(scores), restart, init, on_accept, scores))
     winner = max(range(cfg.restarts), key=lambda i: (outcomes[i][0], -i))
     best_obj, best_state, trace = outcomes[winner]
@@ -452,6 +478,9 @@ def search_tensor_gap(
         raise OutOfRange("two_atom picks a rho bound; the tensor-gap search takes none")
 
     def objective_of(scores: _ChainScores) -> Callable[[np.ndarray], float]:
-        return lambda entries: _tensor_gap(entries, scores.tau(entries), n_max)
+        def gap(entries: np.ndarray) -> float:
+            return _tensor_gap(entries, scores.tau(entries), n_max)
+
+        return lambda entries: scores.score(entries, "gap", gap)
 
     return _search(cfg, objective_of, lambda report: report.psi - report.tau, on_accept)

@@ -190,7 +190,8 @@ class TestScoredBase:
             sb = make_scored_base(base, res.witness[0], res.witness[1])
             assert abs(sb.r) == pytest.approx(res.value, abs=1e-8)
 
-    @pytest.mark.parametrize("g", [["-1", "1"], [True, False], np.array(["-1", "1"]), ("-1", 1.0)])
+    @pytest.mark.parametrize("g", [["-1", "1"], [True, False], np.array(["-1", "1"]), ("-1", 1.0),
+                                   np.array([1j, 1.0]), [np.complex128(-1), 1.0]])
     def test_text_or_bool_scores_rejected(self, g):
         with pytest.raises(OutOfRange):
             make_scored_base(yy_pair(0.5), g, [-1.0, 1.0])

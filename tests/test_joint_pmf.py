@@ -94,10 +94,18 @@ class TestFromMatrix:
 
     @pytest.mark.parametrize(
         "arr",
-        [np.array([["0.5", "0.5"]]), np.array([[True, False]])],
-        ids=["text", "bool"],
+        [
+            np.array([["0.5", "0.5"]]),
+            np.array([[True, False]]),
+            np.array([[0.5 + 0j, 0.5]]),
+            [np.array([0.5 + 0j, 0.5])],
+            [[np.complex128(0.5), 0.5]],
+        ],
+        ids=["text", "bool", "complex", "complex-rows", "numpy-complex"],
     )
     def test_convertible_non_real_array_is_a_bad_entry(self, arr):
+        # a float64 cast of complex values would warn (an error under the
+        # test filter) and drop the imaginary part before any check
         with pytest.raises(NegativeEntry):
             from_matrix(arr)
 

@@ -467,7 +467,8 @@ class TestFullReport:
             assert score_correlation(m, f, np.array([2.0, -2.0])) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("bad", [[np.nan, 1, 2], [np.inf, 1, 2], [-np.inf, 1, 2],
-                                     ["a", 1, 2], ["1", 2, 3], [True, False, True]])
+                                     ["a", 1, 2], ["1", 2, 3], [True, False, True],
+                                     np.array([1j, 1, 2]), [np.complex128(1), 2, 3]])
     def test_score_correlation_rejects_scores_that_are_not_finite_reals(self, bad):
         # nan and inf scores once returned nan with a RuntimeWarning, and
         # strings a bare numpy ValueError
