@@ -48,7 +48,7 @@ from .joint_pmf import (
     STATE_CAP,
     JointPMF,
     _check_integer,
-    _check_seed,
+    _check_real,
     from_jsonable,
     from_matrix,
     holds_bool_or_text,
@@ -78,8 +78,7 @@ def yy_pair(t: float) -> JointPMF:
     Diagonal cells carry (1+t)/4, off-diagonal (1-t)/4; both marginals are
     uniform and psi = tau = rho = t, lambda = t/2.
     """
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"t must be in [0, 1], got {t!r}")
+    t = _check_real("t", t, 0.0, 1.0)
     diag = (1.0 + t) / 4.0
     off = (1.0 - t) / 4.0
     return from_matrix(
@@ -98,8 +97,7 @@ def embellish(base: JointPMF, t: float) -> tuple[JointPMF, list[CheckResult]]:
     only grow (factor rhos max under independent joins).  Returns the join
     and the three verified results.
     """
-    if not 0.0 < t < 1.0:
-        raise OutOfRange(f"t must be in (0, 1), got {t!r}")
+    t = _check_real("t", t, 0.0, 1.0, "()")
     tau_base = event_measure(base, "tau", mode="exact").value
     # tau at exactly the level t may float a few ulps above it
     if tau_base > t + 1e-12:
@@ -133,9 +131,7 @@ def orthant_prob(r: float) -> float:
     Evaluated as 1/4 + arcsin(r)/(2 pi) in extended precision so that the
     anchor points r in {0, 1/2, 1} round to exactly 1/4, 1/3, 1/2.
     """
-    if not -1.0 <= r <= 1.0:
-        raise OutOfRange(f"r must be in [-1, 1], got {r!r}")
-    rl = np.longdouble(r)
+    rl = np.longdouble(_check_real("r", r, -1.0, 1.0))
     return float(np.longdouble(0.25) + np.arcsin(rl) / (2.0 * _LONG_PI))
 
 
@@ -145,9 +141,7 @@ def clt_limit_corr(r: float) -> float:
     Odd, strictly increasing, and the exact functional inverse of
     r = sin((pi/2) t) on t in [0, 1].
     """
-    if not -1.0 <= r <= 1.0:
-        raise OutOfRange(f"r must be in [-1, 1], got {r!r}")
-    rl = np.longdouble(r)
+    rl = np.longdouble(_check_real("r", r, -1.0, 1.0))
     return float(2.0 * np.arcsin(rl) / _LONG_PI)
 
 
@@ -515,10 +509,8 @@ def theorem6_corr(
     ``auto`` prefers exact and falls back to Monte Carlo.  ``n`` and
     ``samples`` follow the integer rule of :func:`_check_integer`.
     """
-    n = _check_integer("n", n)
+    n = _check_integer("n", n, 1)
     samples = _check_integer("samples", samples)
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
     if method not in ("exact", "monte_carlo", "auto"):
         raise OutOfRange(f"unknown method {method!r}")
 
@@ -531,7 +523,7 @@ def theorem6_corr(
             raise TooFewSamples(f"monte_carlo needs >= {MC_MIN_SAMPLES} samples")
         if seed is None:
             raise PreconditionFailed("monte_carlo requires a seed")
-        value, stderr = _mc_corr(sb, n, samples, _check_seed(seed))
+        value, stderr = _mc_corr(sb, n, samples, _check_integer("seed", seed, 0))
         value = min(max(value, -1.0), 1.0)
         return CltEstimate(
             n=n, value=value, stderr=stderr, method="monte_carlo", samples=samples
@@ -581,12 +573,9 @@ def theorem6_witness_search(
     (at n = 1 the correlation equals t in exact arithmetic) from counting.
     ``n_max`` and ``samples`` follow the integer rule of :func:`_check_integer`.
     """
-    if not 0.0 < t < 1.0:
-        raise OutOfRange(f"t must be in (0, 1), got {t!r}")
-    n_max = _check_integer("n_max", n_max)
+    t = _check_real("t", t, 0.0, 1.0, "()")
+    n_max = _check_integer("n_max", n_max, 1)
     samples = _check_integer("samples", samples)
-    if n_max < 1:
-        raise OutOfRange(f"n_max must be >= 1, got {n_max}")
     tau_base = event_measure(sb.base, "tau", mode="exact").value
     if abs(tau_base - t) > 1e-9:
         raise PreconditionFailed(f"tau(base) = {tau_base!r} is not t = {t!r}")
@@ -652,9 +641,7 @@ def lemma7_profile(grid_points: int = 100_000) -> Lemma7Profile:
     resolution, and f(1) = 0, f'(1) = 0 are checked directly.
     ``grid_points`` follows the integer rule of :func:`_check_integer`.
     """
-    grid_points = _check_integer("grid_points", grid_points)
-    if not 1000 <= grid_points <= STATE_CAP:
-        raise OutOfRange(f"grid_points must be in [1000, {STATE_CAP}], got {grid_points}")
+    grid_points = _check_integer("grid_points", grid_points, 1000, STATE_CAP)
     ts = np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
     grid_min = float(np.min(_f(ts)))
 

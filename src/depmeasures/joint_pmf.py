@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -311,21 +312,53 @@ def kron_all(Ms: Sequence[JointPMF]) -> JointPMF:
     return out
 
 
-def _check_integer(name: str, value) -> int:
-    """The integer rule for a count, size or seed argument: an integer (see
-    :func:`_is_integer`), else OutOfRange.  Returns it as an int."""
+def _check_integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """The integer rule for a count, size, join power or seed argument: an
+    integer (see :func:`_is_integer`) in [lo, hi], either bound optional,
+    else OutOfRange.  Returns it as an int."""
     if not _is_integer(value):
         raise OutOfRange(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if lo is not None and value < lo:
+        raise OutOfRange(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise OutOfRange(f"{name} must be at most {hi}, got {value}")
+    return value
 
 
-def _check_seed(seed: int) -> int:
-    """The seed rule: a seed is a non-negative integer (see :func:`_check_integer`),
-    as numpy's generators require, else OutOfRange.  Returns it as an int."""
-    seed = _check_integer("seed", seed)
-    if seed < 0:
-        raise OutOfRange(f"seed must be >= 0, got {seed}")
-    return seed
+def _check_real(name: str, value, lo: float, hi: float, ends: str = "[]") -> float:
+    """The real rule for a level, correlation, cap, scale or noise argument: a
+    real number (``numbers.Real``, booleans excluded) in the interval from lo
+    to hi, closed or open at each end as ``ends`` writes it, else OutOfRange.
+    NaN lies in no interval.  Returns it as a float."""
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer or a fraction beyond the floats
+            pass
+    if not ((lo < x or ends[0] == "[" and x == lo) and (x < hi or ends[1] == "]" and x == hi)):
+        raise OutOfRange(f"{name} must be in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")
+    return x
+
+
+def _check_shape(shape) -> tuple[int, int]:
+    """The shape rule: a pair of integers (see :func:`_check_integer`), else
+    OutOfRange, at least 1x1, else IndexOutOfRange.  Returns it as a tuple."""
+    try:
+        n_rows, n_cols = shape
+    except (TypeError, ValueError):
+        raise OutOfRange(f"shape must be a pair of integers, got {shape!r}") from None
+    n_rows, n_cols = _check_integer("n_rows", n_rows), _check_integer("n_cols", n_cols)
+    if n_rows < 1 or n_cols < 1:
+        raise IndexOutOfRange(f"shape must be at least 1x1, got {n_rows}x{n_cols}")
+    return n_rows, n_cols
+
+
+def _check_style(style: str) -> None:
+    """A random instance's style is one of ``RANDOM_STYLES``, else OutOfRange."""
+    if style not in RANDOM_STYLES:
+        raise OutOfRange(f"unknown style {style!r}; choose from {RANDOM_STYLES}")
 
 
 def random_joint(
@@ -342,11 +375,10 @@ def random_joint(
     perturbs an outer product of random marginals by +/-``noise`` per entry
     (noise 0 gives an exactly independent instance).
     """
-    if n_rows < 1 or n_cols < 1:
-        raise IndexOutOfRange(f"shape must be at least 1x1, got {n_rows}x{n_cols}")
-    if style not in RANDOM_STYLES:
-        raise OutOfRange(f"unknown style {style!r}; choose from {RANDOM_STYLES}")
-    rng = np.random.default_rng(_check_seed(seed))
+    n_rows, n_cols = _check_shape((n_rows, n_cols))
+    _check_style(style)
+    noise = _check_real("noise", noise, -math.inf, math.inf, "()")
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
     if style == "dense":
         arr = rng.random((n_rows, n_cols))
     elif style == "sparse":

@@ -24,29 +24,27 @@ Everything is deterministic given the config.
 
 Feasibility is decided by the exact tau scan unless rho certifies it: tau
 <= rho, so rho + ``CHAIN_TOL`` <= cap proves tau <= cap (``CHAIN_TOL`` is
-the slack ``full_report`` allows in tau <= rho).  The rho search needs
-rho of every feasible proposal anyway, so each chain keeps one bit of its
-history: it tries the certificate first while the last rho it read
-would have certified, and the tau scan first otherwise.  A chain far
-below the cap skips most tau scans; a chain at the cap, where most
-proposals are infeasible, pays what the scan alone costs.  Tau, rho and
-the objective are each computed at most once per distinct chain state:
-the state keeps its scores, and a proposal that repeats it byte for byte
-(a collapsed chain proposes its state again and again) reuses them.  The
-accept hook gets the exact tau.
+the slack ``full_report`` allows in tau <= rho).  The rho search reads rho
+of every feasible proposal anyway, so it tries the certificate first on
+every proposal; the tensor-gap search needs tau anyway, so it never tries
+it.  Tau, rho and the objective are each computed at most once per
+distinct chain state: the state keeps its scores, and a proposal that
+repeats it byte for byte (a collapsed chain proposes its state again and
+again) reuses them.  The accept hook gets the exact tau.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .constructions import _indicator_corr, score_sum_law, yy_pair
 from .errors import InvariantViolation, OutOfRange
-from .joint_pmf import JointPMF, _check_seed, _kron_entries, _validated, from_matrix
+from .joint_pmf import JointPMF, _kron_entries, _validated, from_matrix
+from .joint_pmf import _check_integer, _check_real, _check_shape
 from .measures import (
     CHAIN_TOL,
     DependenceReport,
@@ -88,36 +86,24 @@ class SearchConfig:
     step_scale: float = 0.25
 
     def __post_init__(self) -> None:
-        n_rows, n_cols = self.shape
-        if n_rows < 1 or n_cols < 1:
-            raise OutOfRange(f"shape must be at least 1x1, got {self.shape}")
-        if not within_exact_cap(n_rows, n_cols):
-            raise OutOfRange(
-                f"shape {self.shape} beyond exact-tau caps; search requires exact tau"
-            )
-        if not 0.0 < self.tau_cap <= 1.0:
-            raise OutOfRange(f"tau_cap must be in (0, 1], got {self.tau_cap!r}")
-        if self.two_atom and n_rows != 2:
+        shape = _check_shape(self.shape)
+        if not within_exact_cap(*shape):
+            raise OutOfRange(f"shape {shape} beyond exact-tau caps; search requires exact tau")
+        if self.two_atom and shape[0] != 2:
             raise OutOfRange("two_atom regime requires exactly 2 rows")
-        if self.budget < 1:
-            raise OutOfRange(f"budget must be >= 1, got {self.budget}")
-        if self.restarts < 1:
-            raise OutOfRange(f"restarts must be >= 1, got {self.restarts}")
-        if not self.step_scale > 0.0:
-            raise OutOfRange(f"step_scale must be positive, got {self.step_scale!r}")
-        # stored as the rule returns it: a numpy integer would not serialize
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        # stored as the rules return them: numpy scalars would not serialize
+        for name, value in dict(
+            shape=shape,
+            tau_cap=_check_real("tau_cap", self.tau_cap, 0.0, 1.0, "(]"),
+            budget=_check_integer("budget", self.budget, 1),
+            restarts=_check_integer("restarts", self.restarts, 1),
+            seed=_check_integer("seed", self.seed, 0),
+            step_scale=_check_real("step_scale", self.step_scale, 0.0, math.inf, "()"),
+        ).items():
+            object.__setattr__(self, name, value)
 
     def to_jsonable(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "tau_cap": self.tau_cap,
-            "two_atom": self.two_atom,
-            "budget": self.budget,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "step_scale": self.step_scale,
-        }
+        return {**asdict(self), "shape": list(self.shape)}
 
 
 @dataclass(frozen=True)
@@ -157,17 +143,16 @@ class _ChainScores:
     its scores under its bytes: a proposal whose bytes equal the state's
     (the Dirichlet step repeats a collapsed state byte for byte) takes
     them, so each score is computed at most once per distinct chain state.
-    Every rho read sets the chain's order bit to whether it certifies tau
-    <= cap (see the module docstring); :meth:`feasible` tries the
-    certificate first only while the bit is set.
+    With ``certify``, :meth:`feasible` tries the rho certificate before the
+    tau scan (see the module docstring).
     """
 
-    def __init__(self, tau_cap: float, state: np.ndarray, known: dict[str, float]) -> None:
+    def __init__(self, tau_cap: float, certify: bool, state: np.ndarray, known: dict) -> None:
         self.tau_cap = tau_cap
+        self.certify = certify
         self._entries: np.ndarray | None = None
         self._scores: dict[str, float] = {}
         self._state_key, self._state_scores = state.tobytes(), known
-        self._rho_first = False
 
     def _slot(self, entries: np.ndarray) -> None:
         if entries is not self._entries:
@@ -198,12 +183,10 @@ class _ChainScores:
         return self.score(entries, "tau", _exact_tau)
 
     def rho(self, entries: np.ndarray) -> float:
-        value = self.score(entries, "rho", lambda e: _spectral_rho(e).value)
-        self._rho_first = value + CHAIN_TOL <= self.tau_cap
-        return value
+        return self.score(entries, "rho", lambda e: _spectral_rho(e).value)
 
     def feasible(self, entries: np.ndarray) -> bool:
-        if self._rho_first and self.rho(entries) + CHAIN_TOL <= self.tau_cap:
+        if self.certify and self.rho(entries) + CHAIN_TOL <= self.tau_cap:
             return True
         return self.tau(entries) <= self.tau_cap
 
@@ -307,6 +290,7 @@ def _search(
     objective_of: Callable[[_ChainScores], Callable[[np.ndarray], float]],
     bound_of: Callable[[DependenceReport], float],
     on_accept: AcceptHook | None,
+    certify: bool,
 ) -> SearchResult:
     """Anneal the objective from the feasible start; check and report the best.
 
@@ -321,7 +305,7 @@ def _search(
     init_scores = {"tau": init_tau}
     outcomes = []
     for restart in range(cfg.restarts):
-        scores = _ChainScores(cfg.tau_cap, init, init_scores)
+        scores = _ChainScores(cfg.tau_cap, certify, init, init_scores)
         outcomes.append(_anneal(cfg, objective_of(scores), restart, init, on_accept, scores))
     winner = max(range(cfg.restarts), key=lambda i: (outcomes[i][0], -i))
     best_obj, best_state, trace = outcomes[winner]
@@ -356,7 +340,7 @@ def search_max_rho(cfg: SearchConfig, on_accept: AcceptHook | None = None) -> Se
     The bound is the sharp theorem bound at tau_cap.
     """
     bound = tau_sqrt_log_bound(cfg.tau_cap) if cfg.two_atom else tau_log_bound(cfg.tau_cap)
-    return _search(cfg, lambda scores: scores.rho, lambda _report: bound, on_accept)
+    return _search(cfg, lambda scores: scores.rho, lambda _report: bound, on_accept, True)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +404,6 @@ def _threshold_family_bound(entries: np.ndarray, n: int) -> float:
     return min(abs(_indicator_corr(q11, qa, qb)), 1.0)
 
 
-def _check_n_max(n_max: int) -> None:
-    if n_max < 2:
-        raise OutOfRange(f"n_max must be >= 2, got {n_max}")
-
-
 def tensor_gap_lower_bound(M: JointPMF, n_max: int = 2) -> float:
     """Certified lower bound on max over 2..n_max of tau(n-fold join) - tau(M).
 
@@ -437,7 +416,7 @@ def tensor_gap_lower_bound(M: JointPMF, n_max: int = 2) -> float:
     actual events (the single-copy embedding gives gap 0), so the result
     never exceeds the true gap.  M must be within the exact cap.
     """
-    _check_n_max(n_max)
+    n_max = _check_integer("n_max", n_max, 2)
     _use_exact(M, "exact")
     return _tensor_gap(M.entries, _exact_tau(M.entries), n_max)
 
@@ -473,7 +452,7 @@ def search_tensor_gap(
     its feasibility test, serves as tau(M).  ``cfg.two_atom`` raises
     OutOfRange: it picks a rho bound and would do nothing here.
     """
-    _check_n_max(n_max)
+    n_max = _check_integer("n_max", n_max, 2)
     if cfg.two_atom:
         raise OutOfRange("two_atom picks a rho bound; the tensor-gap search takes none")
 
@@ -483,4 +462,4 @@ def search_tensor_gap(
 
         return lambda entries: scores.score(entries, "gap", gap)
 
-    return _search(cfg, objective_of, lambda report: report.psi - report.tau, on_accept)
+    return _search(cfg, objective_of, lambda report: report.psi - report.tau, on_accept, False)

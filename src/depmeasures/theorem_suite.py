@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation, OutOfRange, ShapeError, TooLargeForExact
-from .joint_pmf import STATE_CAP, EventPair, JointPMF, _check_seed, kron, kron_all, random_joint
+from .joint_pmf import STATE_CAP, EventPair, JointPMF, kron, kron_all, random_joint
+from .joint_pmf import _check_integer, _check_real, _check_shape, _check_style
 from .measures import CHAIN_TOL, KINDS, DependenceReport, RhoResult, full_report, within_exact_cap
 from .measures import _checked_rho, _exact_scan, _quoted, _report, _spectral_parts, _stacked_quotes
 from .measures import rho as _rho
@@ -118,8 +119,7 @@ def _result(
 
 def tau_log_bound(t: float) -> float:
     """t * (1 - log t), the unrestricted upper bound for rho at tau = t."""
-    if not -1e-12 <= t <= 1.0 + 1e-9:
-        raise OutOfRange(f"t must be in [0, 1], got {t!r}")
+    t = _check_real("t", t, -1e-12, 1.0 + 1e-9)
     if t <= 0.0:
         return 0.0
     return t * (1.0 - math.log(t))
@@ -127,8 +127,7 @@ def tau_log_bound(t: float) -> float:
 
 def tau_sqrt_log_bound(t: float) -> float:
     """t * sqrt(1 - log t), the two-atom upper bound for rho at tau = t."""
-    if not -1e-12 <= t <= 1.0 + 1e-9:
-        raise OutOfRange(f"t must be in [0, 1], got {t!r}")
+    t = _check_real("t", t, -1e-12, 1.0 + 1e-9)
     if t <= 0.0:
         return 0.0
     return t * math.sqrt(1.0 - math.log(t))
@@ -311,17 +310,16 @@ def fuzz(
     (:func:`_chunk_parts`), then every check runs per matrix in the order of
     one report at a time, so the first failing check raises at its turn.
     """
-    shapes = [(int(a), int(b)) for a, b in shapes]
+    shapes = [_check_shape(shape) for shape in shapes]
     if not shapes or not styles:
         raise OutOfRange("need at least one shape and one style")
-    if count < 0:
-        raise OutOfRange(f"count must be >= 0, got {count}")
-    if count > STATE_CAP:
-        raise OutOfRange(f"count must be at most {STATE_CAP}, got {count}")
+    for style in styles:
+        _check_style(style)
+    count = _check_integer("count", count, 0, STATE_CAP)
     for n_rows, n_cols in shapes:
         if not within_exact_cap(n_rows, n_cols):
             raise TooLargeForExact(f"shape {n_rows}x{n_cols} beyond exact caps")
-    master = np.random.default_rng(_check_seed(seed))
+    master = np.random.default_rng(_check_integer("seed", seed, 0))
     grid = [(sh, st) for st in styles for sh in shapes]
     total = 0
     failures: list[CheckResult] = []

@@ -98,43 +98,47 @@ def test_scripted_proposals_switch_the_slot(monkeypatch):
     hooked = []
     result = search_max_rho(cfg, on_accept=lambda s, tau, obj: hooked.append((s, tau, obj)))
     assert result.to_jsonable() == expected
-    # rho of init as the objective (its tau comes with the start); tau of
-    # the infeasible array; tau and rho of ``better`` and of the last init copy
-    assert calls == {"_exact_tau": 3, "_spectral_rho": 3}
+    # rho of init as the objective (its tau comes with the start); the rho
+    # certificate, then tau, of the infeasible array, of ``better`` and of
+    # the last init copy
+    assert calls == {"_exact_tau": 3, "_spectral_rho": 4}
     # the repeats are accepted (delta 0), and so is ``better``
     assert [id(s) for s, _, _ in hooked[:4]] == [id(script[k]) for k in (0, 2, 3, 4)]
     for state, tau, obj in hooked:
         assert tau == _exact_tau(state) and obj == _spectral_rho(state).value
 
 
-@pytest.mark.parametrize("seed", [1, 11])
-def test_reused_rho_sets_the_order_bit_as_a_computed_one(seed, monkeypatch):
-    """Feasibility tries rho or tau first in the same order as without reuse."""
-    cfg = SearchConfig(shape=(4, 4), tau_cap=0.1, budget=1500, restarts=1, seed=seed)
-    orders = []
-    feasible = _ChainScores.feasible
+@pytest.mark.parametrize("search, certify", [
+    (search_max_rho, True), (search_tensor_gap, False),
+], ids=["max-rho", "tensor-gap"])
+def test_only_the_rho_chains_try_the_rho_certificate(search, certify, monkeypatch):
+    """Rho chains read rho first on every proposal; tensor-gap chains never read it."""
+    cfg = SearchConfig(shape=(3, 3), tau_cap=0.3, budget=200, restarts=2, seed=1)
+    reads = []
+    feasible, score = _ChainScores.feasible, _ChainScores.score
 
-    def recording(self, entries):
-        orders.append(self._rho_first)
+    def recording_feasible(self, entries):
+        reads.append("feasible")
         return feasible(self, entries)
 
-    monkeypatch.setattr(_ChainScores, "feasible", recording)
-    reused = search_max_rho(cfg).to_jsonable()
-    reused_orders, orders[:] = orders[:], []
+    def recording_score(self, entries, name, fn):
+        reads.append(name)
+        return score(self, entries, name, fn)
 
-    def fresh_slot(self, entries):  # every proposal scored afresh
-        if entries is not self._entries:
-            self._entries, self._scores = entries, {}
-
-    monkeypatch.setattr(_ChainScores, "_slot", fresh_slot)
-    assert search_max_rho(cfg).to_jsonable() == reused
-    assert orders == reused_orders and True in orders and False in orders
+    monkeypatch.setattr(_ChainScores, "feasible", recording_feasible)
+    monkeypatch.setattr(_ChainScores, "score", recording_score)
+    search(cfg)
+    firsts = [reads[i + 1] for i, name in enumerate(reads) if name == "feasible"]
+    assert len(firsts) == cfg.budget * cfg.restarts
+    assert set(firsts) == ({"rho"} if certify else {"tau"})
+    assert ("rho" in reads) == certify
+    assert reads.count("tau") > 0  # the certificate fails on some proposals
 
 
 def test_slot_takes_the_state_scores_only_for_equal_bytes(monkeypatch):
     init = _validated(np.array([[0.4, 0.1], [0.1, 0.4]]))
     other = _validated(np.array([[0.3, 0.2], [0.2, 0.3]]))
-    scores = _ChainScores(0.5, init, {"tau": _exact_tau(init)})
+    scores = _ChainScores(0.5, True, init, {"tau": _exact_tau(init)})
     calls = count_calls(monkeypatch, ["_spectral_rho", "_exact_tau"])
     assert scores.tau(init.copy()) == _exact_tau(init) and not calls
     rho_init = scores.rho(init.copy())

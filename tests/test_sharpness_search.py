@@ -50,7 +50,7 @@ class TestSearchConfig:
             SearchConfig(shape=(16, 3))
         with pytest.raises(OutOfRange, match="restarts must be >= 1"):
             SearchConfig(restarts=0)
-        with pytest.raises(OutOfRange, match="step_scale must be positive"):
+        with pytest.raises(OutOfRange, match=r"step_scale must be in \(0, inf\)"):
             SearchConfig(step_scale=0.0)
 
     def test_negative_seed(self):
@@ -228,52 +228,27 @@ class TestTensorGap:
             search_tensor_gap(cfg)
 
 
-def record_orders(monkeypatch):
-    """Whether each feasibility test of a search tried the rho certificate first."""
-    orders = []
-    feasible = sharpness_search._ChainScores.feasible
-
-    def recording(self, entries):
-        orders.append(self._rho_first)
-        return feasible(self, entries)
-
-    monkeypatch.setattr(sharpness_search._ChainScores, "feasible", recording)
-    return orders
-
-
-def switches(orders):
-    """Changes of the order bit: (tau first -> rho first, rho first -> tau first)."""
-    pairs = list(zip(orders, orders[1:]))
-    return pairs.count((False, True)), pairs.count((True, False))
-
-
 class TestAgainstSearchOracle:
     """The certified feasibility test and the array-level objectives move no bit.
 
     ``search_oracle`` scans tau on every proposal and scores it through
-    ``from_matrix`` and the public functions; the long chains switch
-    between both feasibility orders.
+    ``from_matrix`` and the public functions.
     """
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize(
-        "kwargs, long",
+        "kwargs",
         [
-            (dict(shape=(4, 4), tau_cap=0.1, budget=1500, restarts=1), True),
-            (dict(shape=(2, 8), tau_cap=0.1, two_atom=True, budget=1500, restarts=1), True),
-            (dict(shape=(3, 3), tau_cap=0.25, budget=400, restarts=2), False),
-            (dict(shape=(3, 3), tau_cap=1e-13, budget=300, restarts=1), False),
+            dict(shape=(4, 4), tau_cap=0.1, budget=1500, restarts=1),
+            dict(shape=(2, 8), tau_cap=0.1, two_atom=True, budget=1500, restarts=1),
+            dict(shape=(3, 3), tau_cap=0.25, budget=400, restarts=2),
+            dict(shape=(3, 3), tau_cap=1e-13, budget=300, restarts=1),
         ],
         ids=["4x4-cap0.1", "2x8-two-atom", "3x3-cap0.25", "3x3-cap1e-13"],
     )
-    def test_max_rho(self, kwargs, long, seed, monkeypatch):
+    def test_max_rho(self, kwargs, seed):
         cfg = SearchConfig(seed=seed, **kwargs)
-        orders = record_orders(monkeypatch)
         assert search_max_rho(cfg).to_jsonable() == search_oracle.search_max_rho(cfg).to_jsonable()
-        if long:
-            assert min(switches(orders)) >= 1
-        if cfg.tau_cap < 1e-9:  # rho + CHAIN_TOL can never certify
-            assert not any(orders)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize(
