@@ -47,6 +47,7 @@ from .errors import (
 from .joint_pmf import (
     STATE_CAP,
     JointPMF,
+    _Record,
     _check_integer,
     _check_real,
     from_jsonable,
@@ -151,7 +152,7 @@ def clt_limit_corr(r: float) -> float:
 
 
 @dataclass(frozen=True)
-class ScoredBase:
+class ScoredBase(_Record):
     """A joint base law with centered, unit-variance atom scores.
 
     ``g`` scores row atoms, ``h`` scores column atoms; under the marginals
@@ -165,11 +166,9 @@ class ScoredBase:
     r: float
 
     def to_jsonable(self) -> dict:
-        out = self.base.to_jsonable()
-        out["g"] = [float(x) for x in self.g]
-        out["h"] = [float(x) for x in self.h]
-        out["r"] = self.r
-        return out
+        """The base's file format with the record's other fields added."""
+        out = super().to_jsonable()
+        return {**out.pop("base"), **out}
 
 
 def make_scored_base(
@@ -225,7 +224,7 @@ def scored_base_from_jsonable(obj: dict) -> ScoredBase:
 
 
 @dataclass(frozen=True)
-class CltEstimate:
+class CltEstimate(_Record):
     """Corr(1[Y_n > 0], 1[Z_n > 0]) under n i.i.d. copies of the base."""
 
     n: int
@@ -233,15 +232,6 @@ class CltEstimate:
     stderr: float
     method: str
     samples: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "value": self.value,
-            "stderr": self.stderr,
-            "method": self.method,
-            "samples": self.samples,
-        }
 
 
 def _indicator_corr(q11: float, qa: float, qb: float) -> float:
@@ -540,19 +530,12 @@ def theorem6_corr(
 
 
 @dataclass(frozen=True)
-class WitnessHit:
+class WitnessHit(_Record):
     """First n at which the summed-score indicator correlation beats t."""
 
     n: int
     estimate: CltEstimate
     check: CheckResult
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "estimate": self.estimate.to_jsonable(),
-            "check": self.check.to_jsonable(),
-        }
 
 
 def theorem6_witness_search(
@@ -613,7 +596,7 @@ def _f_double_prime(t: np.ndarray | float) -> np.ndarray | float:
 
 
 @dataclass(frozen=True)
-class Lemma7Profile:
+class Lemma7Profile(_Record):
     """Grid evidence that t(1 - log t) dominates sin(pi t / 2) on (0, 1)."""
 
     grid_min: float
@@ -621,15 +604,6 @@ class Lemma7Profile:
     endpoint_checks: dict[str, float]
     sign_pattern: dict[str, bool]
     grid_points: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "grid_min": self.grid_min,
-            "c_root": self.c_root,
-            "endpoint_checks": dict(self.endpoint_checks),
-            "sign_pattern": dict(self.sign_pattern),
-            "grid_points": self.grid_points,
-        }
 
 
 def lemma7_profile(grid_points: int = 100_000) -> Lemma7Profile:
@@ -675,6 +649,8 @@ def lemma7_profile(grid_points: int = 100_000) -> Lemma7Profile:
     )
     if not (profile.grid_min > 0.0 and 0.0 < c < 1.0):
         raise InvariantViolation(f"profile violates positivity: {profile}")
+    if not (neg_below and pos_above):
+        raise InvariantViolation(f"f'' sign pattern violated: {profile}")
     if abs(f_at_1) > 1e-12 or abs(fprime_at_1) > 1e-12:
         raise InvariantViolation(f"endpoint identities violated: {profile}")
     return profile

@@ -39,8 +39,46 @@ STATE_CAP = 10**7
 RANDOM_STYLES = ("dense", "sparse", "near_independent")
 
 
+_PLAIN_TYPES = frozenset((float, int, str, bool, type(None)))
+
+
+def _jsonable(value):
+    """``value`` as plain JSON data: a record as its own ``to_jsonable()``,
+    arrays and numpy scalars by ``tolist()``, lists and tuples as lists,
+    frozensets as sorted lists, dicts as shallow copies, plain scalars as
+    they are.
+
+    Dict values are not walked: every dict field of a record (mode flags,
+    instance digests, endpoint checks, the sign pattern) holds only plain
+    JSON values already.  Exact types are tested before ``isinstance``:
+    a fuzz report serializes hundreds of plain fields.
+    """
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return value
+    if kind is frozenset:
+        return sorted(value)
+    if kind is dict:
+        return dict(value)
+    if kind is list or kind is tuple:
+        return [_jsonable(item) for item in value]
+    if isinstance(value, _Record):
+        return value.to_jsonable()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+class _Record:
+    """A result dataclass whose JSON maps each field name to :func:`_jsonable`
+    of its value, in field order."""
+
+    def to_jsonable(self) -> dict:
+        return {name: _jsonable(getattr(self, name)) for name in self.__dataclass_fields__}
+
+
 @dataclass(frozen=True, eq=False)
-class JointPMF:
+class JointPMF(_Record):
     """Immutable joint mass matrix with optional atom labels.
 
     Construct through :func:`from_matrix` (or the generators below), which
@@ -65,7 +103,8 @@ class JointPMF:
         return self.entries.shape  # type: ignore[return-value]
 
     def to_jsonable(self) -> dict:
-        out: dict = {"matrix": [[float(x) for x in row] for row in self.entries]}
+        """The file format :func:`from_jsonable` reads: unset labels are left out."""
+        out: dict = {"matrix": self.entries.tolist()}
         if self.row_labels is not None:
             out["row_labels"] = list(self.row_labels)
         if self.col_labels is not None:
@@ -77,7 +116,7 @@ class JointPMF:
 
 
 @dataclass(frozen=True)
-class EventPair:
+class EventPair(_Record):
     """An event of the row field and an event of the column field.
 
     ``row_set`` collects 0-based row-atom indices whose union is the row
@@ -88,23 +127,17 @@ class EventPair:
     row_set: frozenset[int] = field(default_factory=frozenset)
     col_set: frozenset[int] = field(default_factory=frozenset)
 
-    def to_jsonable(self) -> dict:
-        return {"row_set": sorted(self.row_set), "col_set": sorted(self.col_set)}
-
     @staticmethod
     def of(rows: Iterable[int], cols: Iterable[int]) -> "EventPair":
         return EventPair(frozenset(int(i) for i in rows), frozenset(int(j) for j in cols))
 
 
 @dataclass(frozen=True)
-class Marginals:
+class Marginals(_Record):
     """Row and column atom masses of a joint matrix."""
 
     row: np.ndarray
     col: np.ndarray
-
-    def to_jsonable(self) -> dict:
-        return {"row": [float(x) for x in self.row], "col": [float(x) for x in self.col]}
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

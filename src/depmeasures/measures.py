@@ -59,7 +59,7 @@ from .errors import (
     ShapeError,
     TooLargeForExact,
 )
-from .joint_pmf import EventPair, JointPMF, event_masks, holds_bool_or_text, real_array
+from .joint_pmf import EventPair, JointPMF, _Record, event_masks, holds_bool_or_text, real_array
 
 KINDS = ("psi", "lambda", "tau")
 MODES = ("exact", "heuristic", "auto")
@@ -85,19 +85,12 @@ _HEURISTIC_MAX_ROUNDS = 40
 
 
 @dataclass(frozen=True)
-class RhoSpectral:
+class RhoSpectral(_Record):
     """Diagnostics of the spectral maximal-correlation computation."""
 
     sigma1: float
     sigma2: float
     residual: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-            "residual": self.residual,
-        }
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,7 @@ class EventMeasure:
 
 
 @dataclass(frozen=True)
-class DependenceReport:
+class DependenceReport(_Record):
     """All four measures with optimality witnesses.
 
     ``lam`` is the lambda coefficient (field renamed: keyword).  Witness
@@ -136,21 +129,13 @@ class DependenceReport:
     mode_flags: dict[str, str]
 
     def to_jsonable(self) -> dict:
-        f, g = self.rho_witness
-        return {
-            "psi": self.psi,
-            "lambda": self.lam,
-            "tau": self.tau,
-            "rho": self.rho,
-            "psi_witness": self.psi_witness.to_jsonable(),
-            "lambda_witness": self.lambda_witness.to_jsonable(),
-            "tau_witness": self.tau_witness.to_jsonable(),
-            "rho_witness": {
-                "f": [float(x) for x in f],
-                "g": [float(x) for x in g],
-            },
-            "mode_flags": dict(self.mode_flags),
-        }
+        """The record's JSON with ``lam`` written as "lambda" and the rho
+        witness as {"f", "g"}."""
+        out = super().to_jsonable()
+        out["lambda"] = out.pop("lam")
+        f, g = out["rho_witness"]
+        out["rho_witness"] = {"f": f, "g": g}
+        return out
 
 
 def _check_kind(kind: str) -> str:
@@ -571,16 +556,22 @@ def within_exact_cap(n_rows: int, n_cols: int) -> bool:
     return n_rows <= EXACT_CAP and n_cols <= EXACT_CAP
 
 
+def _require_exact_cap(n_rows: int, n_cols: int) -> None:
+    """Raise TooLargeForExact unless exact enumeration is allowed at this shape."""
+    if not within_exact_cap(n_rows, n_cols):
+        raise TooLargeForExact(
+            f"shape {n_rows}x{n_cols} exceeds exact caps {EXACT_CAP}x{EXACT_CAP}"
+        )
+
+
 def _use_exact(M: JointPMF, mode: str) -> bool:
     """Resolve ``mode`` for M: exact requires the cap, auto prefers exact."""
     if mode not in MODES:
         raise OutOfRange(f"mode must be one of {MODES}, got {mode!r}")
-    within = within_exact_cap(M.n_rows, M.n_cols)
-    if mode == "exact" and not within:
-        raise TooLargeForExact(
-            f"shape {M.n_rows}x{M.n_cols} exceeds exact caps {EXACT_CAP}x{EXACT_CAP}"
-        )
-    return within and mode != "heuristic"
+    if mode == "exact":
+        _require_exact_cap(M.n_rows, M.n_cols)
+        return True
+    return mode == "auto" and within_exact_cap(M.n_rows, M.n_cols)
 
 
 def event_measure(M: JointPMF, kind: str, mode: str = "auto") -> EventMeasure:
@@ -644,7 +635,7 @@ def exact_event_values(M: JointPMF) -> dict[str, float]:
 
     A value that is not finite raises OutOfRange, as in reports.
     """
-    _use_exact(M, "exact")
+    _require_exact_cap(M.n_rows, M.n_cols)
     values, _ = _exact_scan(M.entries)
     for k, v in values.items():
         _require_finite(k, v)

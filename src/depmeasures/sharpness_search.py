@@ -36,22 +36,22 @@ again) reuses them.  The accept hook gets the exact tau.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .constructions import _indicator_corr, score_sum_law, yy_pair
-from .errors import InvariantViolation, OutOfRange
+from .errors import InvariantViolation, OutOfRange, ShapeError
 from .joint_pmf import JointPMF, _kron_entries, _validated, from_matrix
-from .joint_pmf import _check_integer, _check_real, _check_shape
+from .joint_pmf import _Record, _check_integer, _check_real, _check_shape
 from .measures import (
     CHAIN_TOL,
     DependenceReport,
     _exact_scan,
     _heuristic_scan,
+    _require_exact_cap,
     _spectral_rho,
-    _use_exact,
     full_report,
     within_exact_cap,
 )
@@ -68,13 +68,14 @@ AcceptHook = Callable[[np.ndarray, float, float], None]
 
 
 @dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Record):
     """Shape, constraint, and budget of one search run.
 
     Exact tau decides feasibility wherever rho cannot certify it, so keep
     shapes small: 4x4 is the recommended general default, 2x8 for the
     two-atom regime.  ``two_atom`` picks the rho search's two-atom bound;
-    the tensor-gap search rejects it.
+    the tensor-gap search rejects it.  A shape beyond the exact caps raises
+    TooLargeForExact, and ``two_atom`` without exactly 2 rows ShapeError.
     """
 
     shape: tuple[int, int] = (4, 4)
@@ -87,11 +88,10 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         shape = _check_shape(self.shape)
-        if not within_exact_cap(*shape):
-            raise OutOfRange(f"shape {shape} beyond exact-tau caps; search requires exact tau")
+        _require_exact_cap(*shape)
         if self.two_atom and shape[0] != 2:
-            raise OutOfRange("two_atom regime requires exactly 2 rows")
-        # stored as the rules return them: numpy scalars would not serialize
+            raise ShapeError(f"two-atom bound needs exactly 2 rows, got {shape[0]}")
+        # stored as the rules return them: plain ints and floats
         for name, value in dict(
             shape=shape,
             tau_cap=_check_real("tau_cap", self.tau_cap, 0.0, 1.0, "(]"),
@@ -102,12 +102,9 @@ class SearchConfig:
         ).items():
             object.__setattr__(self, name, value)
 
-    def to_jsonable(self) -> dict:
-        return {**asdict(self), "shape": list(self.shape)}
-
 
 @dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Record):
     """Best state found, its report, and the relevant theorem bound."""
 
     best: JointPMF
@@ -117,17 +114,6 @@ class SearchResult:
     ratio: float
     trace: list[tuple[int, float]]
     seed: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "best": self.best.to_jsonable(),
-            "best_report": self.best_report.to_jsonable(),
-            "objective": self.objective,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "trace": [[int(k), float(v)] for k, v in self.trace],
-            "seed": self.seed,
-        }
 
 
 def _exact_tau(entries: np.ndarray) -> float:
@@ -417,7 +403,7 @@ def tensor_gap_lower_bound(M: JointPMF, n_max: int = 2) -> float:
     never exceeds the true gap.  M must be within the exact cap.
     """
     n_max = _check_integer("n_max", n_max, 2)
-    _use_exact(M, "exact")
+    _require_exact_cap(M.n_rows, M.n_cols)
     return _tensor_gap(M.entries, _exact_tau(M.entries), n_max)
 
 

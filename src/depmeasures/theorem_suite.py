@@ -28,11 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, OutOfRange, ShapeError, TooLargeForExact
+from .errors import InvariantViolation, OutOfRange, ShapeError
 from .joint_pmf import STATE_CAP, EventPair, JointPMF, kron, kron_all, random_joint
-from .joint_pmf import _check_integer, _check_real, _check_shape, _check_style
+from .joint_pmf import _Record, _check_integer, _check_real, _check_shape, _check_style
 from .measures import CHAIN_TOL, KINDS, DependenceReport, RhoResult, full_report, within_exact_cap
-from .measures import _checked_rho, _exact_scan, _quoted, _report, _spectral_parts, _stacked_quotes
+from .measures import _checked_rho, _exact_scan, _quoted, _report, _require_exact_cap
+from .measures import _spectral_parts, _stacked_quotes
 from .measures import rho as _rho
 
 BOUND_TOL = 1e-9
@@ -44,7 +45,7 @@ _FUZZ_CHUNK = 64
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Outcome of one inequality instance: lhs <= rhs within tolerance."""
 
     check_name: str
@@ -57,35 +58,20 @@ class CheckResult:
     witness: EventPair | None = None
 
     def to_jsonable(self) -> dict:
-        out = {
-            "check_name": self.check_name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passed,
-            "tolerance": self.tolerance,
-            "instance_digest": self.instance_digest,
-        }
-        out["witness"] = self.witness.to_jsonable() if self.witness else None
+        """The record's JSON with ``passed`` written as "pass"."""
+        out = super().to_jsonable()
+        out["pass"] = out.pop("passed")
         return out
 
 
 @dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(_Record):
     """Aggregate of a fuzz run: failures are data, not errors."""
 
     total: int
     failures: list[CheckResult]
     near_sharp: list[CheckResult]
     rng_seed: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "total": self.total,
-            "failures": [r.to_jsonable() for r in self.failures],
-            "near_sharp": [r.to_jsonable() for r in self.near_sharp],
-            "rng_seed": self.rng_seed,
-        }
 
 
 def _result(
@@ -316,9 +302,8 @@ def fuzz(
     for style in styles:
         _check_style(style)
     count = _check_integer("count", count, 0, STATE_CAP)
-    for n_rows, n_cols in shapes:
-        if not within_exact_cap(n_rows, n_cols):
-            raise TooLargeForExact(f"shape {n_rows}x{n_cols} beyond exact caps")
+    for shape in shapes:
+        _require_exact_cap(*shape)
     master = np.random.default_rng(_check_integer("seed", seed, 0))
     grid = [(sh, st) for st in styles for sh in shapes]
     total = 0

@@ -85,6 +85,15 @@ class TestBasicCommands:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["measures", "--in", str(tmp_path / "nope.json")]) == 2
 
+    def test_without_out_writes_the_document_to_stdout(self, tmp_path, capsys):
+        out = tmp_path / "yy.json"
+        assert run(["yy", "--t", "0.5", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(["yy", "--t", "0.5"]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text)["result"] == read_doc(out)["result"]
+
     def test_embellish(self, tmp_path):
         base = tmp_path / "b.json"
         write_matrix(base, random_joint(2, 2, seed=2, style="near_independent", noise=0.0))
@@ -165,6 +174,14 @@ class TestSearchCli:
         with pytest.raises(SystemExit) as exc:
             run(["search", "rho", "--shape", "2x2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--shape", "15x2"], "shape 15x2 exceeds exact caps 14x14"),
+        (["--shape", "3x3", "--two-atom"], "two-atom bound needs exactly 2 rows, got 3"),
+    ], ids=["beyond-exact-cap", "two-atom-three-rows"])
+    def test_config_errors_exit_2(self, capsys, argv, message):
+        assert run(["search", "rho", *argv, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_csv_trace(self, tmp_path):
         out = tmp_path / "t.csv"

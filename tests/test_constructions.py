@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from depmeasures import (
+    InvariantViolation,
     OutOfRange,
     PreconditionFailed,
     StateSpaceTooLarge,
@@ -657,3 +658,27 @@ class TestLemma7:
     def test_grid_bounded_by_state_cap(self):
         with pytest.raises(OutOfRange):
             lemma7_profile(STATE_CAP + 1)
+
+    def test_failed_sign_pattern_raises(self, monkeypatch):
+        # f'' dented negative on (0.85, 0.9), right of its root: the profile
+        # once returned positive_above_root = False instead of raising.
+        real = constructions._f_double_prime
+
+        def dented(t):
+            t = np.asarray(t, dtype=np.float64)
+            return np.where((t > 0.85) & (t < 0.9), -1.0, real(t))
+
+        monkeypatch.setattr(constructions, "_f_double_prime", dented)
+        with pytest.raises(InvariantViolation, match="sign pattern"):
+            lemma7_profile(2000)
+
+    def test_sine_scaled_by_1_2_fails_positivity(self, monkeypatch):
+        # t(1 - log t) - 1.2 sin(pi t / 2) is negative near t = 0.54
+        real = constructions._f
+
+        def scaled(t):
+            return real(t) - 0.2 * np.sin(np.pi * np.asarray(t, dtype=np.float64) / 2.0)
+
+        monkeypatch.setattr(constructions, "_f", scaled)
+        with pytest.raises(InvariantViolation, match="positivity"):
+            lemma7_profile(2000)

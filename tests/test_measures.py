@@ -487,6 +487,14 @@ class TestFullReport:
                 score_correlation(m, f, g)
         assert score_correlation(m, good, np.array(good)) == score_correlation(m, good, good)
 
+    def test_score_correlation_of_constant_scores_is_zero(self):
+        # zero scores have no scale, constant ones no variance: both read 0
+        m = yy(0.5)
+        g = np.array([2.0, -2.0])
+        for f in (np.zeros(2), np.array([0.3, 0.3])):
+            assert score_correlation(m, f, g) == 0.0
+            assert score_correlation(m, g, f) == 0.0
+
     def test_heuristic_witness_check_is_relative(self):
         # psi reaches 1e39 here, where one ulp exceeds an absolute 1e-12:
         # 25 of these 60 raised a false witness InvariantViolation before

@@ -11,6 +11,7 @@ from depmeasures import (
     InvariantViolation,
     OutOfRange,
     SearchConfig,
+    ShapeError,
     TooLargeForExact,
     event_measure,
     kron,
@@ -42,11 +43,11 @@ class TestSearchConfig:
             SearchConfig(shape=(3, 3), tau_cap=0.0)
         with pytest.raises(OutOfRange):
             SearchConfig(shape=(3, 3), tau_cap=1.5)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ShapeError):
             SearchConfig(shape=(3, 3), two_atom=True)
         with pytest.raises(OutOfRange):
             SearchConfig(shape=(3, 3), budget=0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(TooLargeForExact):
             SearchConfig(shape=(16, 3))
         with pytest.raises(OutOfRange, match="restarts must be >= 1"):
             SearchConfig(restarts=0)
@@ -243,8 +244,11 @@ class TestAgainstSearchOracle:
             dict(shape=(2, 8), tau_cap=0.1, two_atom=True, budget=1500, restarts=1),
             dict(shape=(3, 3), tau_cap=0.25, budget=400, restarts=2),
             dict(shape=(3, 3), tau_cap=1e-13, budget=300, restarts=1),
+            # no sign pair fits: the chains start from the uniform state
+            dict(shape=(1, 4), tau_cap=0.5, budget=200, restarts=2),
+            dict(shape=(3, 1), tau_cap=0.5, budget=200, restarts=2),
         ],
-        ids=["4x4-cap0.1", "2x8-two-atom", "3x3-cap0.25", "3x3-cap1e-13"],
+        ids=["4x4-cap0.1", "2x8-two-atom", "3x3-cap0.25", "3x3-cap1e-13", "1x4", "3x1"],
     )
     def test_max_rho(self, kwargs, seed):
         cfg = SearchConfig(seed=seed, **kwargs)
