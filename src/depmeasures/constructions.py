@@ -14,12 +14,13 @@ Contents:
   * exact and Monte Carlo evaluation of Corr(1[Y_n > 0], 1[Z_n > 0]) where
     Y_n, Z_n are normalized sums of n i.i.d. copies of scored atoms, and a
     scanner for the smallest n at which that correlation exceeds a target
-    level.  The exact lattice path uses :func:`score_sum_law`, the n-fold
-    joint law of integer score sums, which the tensor-gap search also uses;
-    it convolves on the sublattice that the positive-mass scores span and
-    returns the law on the full grid.  A sum of exactly 0 counts as not
-    positive, and is decided in integers on every side whose scores lie on
-    a lattice;
+    level.  The exact lattice path conditions on the level count of a side
+    whose positive-mass scores take two values, in O(n^2) cells; otherwise
+    it uses :func:`score_sum_law`, the n-fold joint law of integer score
+    sums, which the tensor-gap search also uses; it convolves on the
+    sublattice that the positive-mass scores span and returns the law on
+    the full grid.  A sum of exactly 0 counts as not positive, and is
+    decided in integers on every side whose scores lie on a lattice;
   * a grid profile of f(t) = t(1 - log t) - sin(pi t / 2), which is
     positive on (0, 1) with f(1) = f'(1) = 0 and a single inflection of
     f'' in the interior.
@@ -281,6 +282,26 @@ def _on_lattice(x: np.ndarray, n: int) -> np.ndarray | None:
     return np.rint(x).astype(np.int64) if n * float(np.abs(x).max()) < 2.0**62 else None
 
 
+def _grid_shape(a: np.ndarray, b: np.ndarray, n: int) -> tuple[int, int]:
+    """Shape of the full grid of n-fold integer score sums; more than
+    ``STATE_CAP`` cells raise StateSpaceTooLarge, before anything is
+    allocated."""
+    size_a = n * (int(a.max()) - int(a.min())) + 1
+    size_b = n * (int(b.max()) - int(b.min())) + 1
+    if size_a * size_b > STATE_CAP:
+        raise StateSpaceTooLarge(f"lattice grid {size_a}x{size_b} exceeds {STATE_CAP} states")
+    return size_a, size_b
+
+
+def _sublattice(scores: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(low, d, steps) for the integer scores of the positive-mass cells: low
+    is the smallest score, d the gcd of the others' distances from it (1 if
+    there are none), and each score is low + d * step."""
+    low = int(scores.min())
+    d = math.gcd(*(int(x) for x in scores - low)) or 1
+    return low, d, (scores - low) // d
+
+
 def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
     """Joint law of the integer score sums of n i.i.d. copies of a base.
 
@@ -291,30 +312,22 @@ def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> 
     ``STATE_CAP`` cells raises StateSpaceTooLarge before anything is
     allocated.
 
-    On each side every sum lands on n * o + d * k, where o is the smallest
-    score of a positive-mass cell (shifted by the minimum score) and d the
-    gcd of the other such scores' distances from it.  So the n-fold
-    convolution over the positive-mass cells (row-major order) runs on
-    that sublattice and is scattered into the full grid.  The cells it
-    skips are exact zeros at every step, so the law is bit for bit the
-    one a convolution on the full grid gives.  d comes from positive-mass
-    cells only: a zero-mass atom may carry any score.
+    On each side every sum lands on n * low + d * k, where low is the
+    smallest score of a positive-mass cell and d the gcd of the other such
+    scores' distances from it.  So the n-fold convolution over the
+    positive-mass cells (row-major order) runs on that sublattice and is
+    scattered into the full grid.  The cells it skips are exact zeros at
+    every step, so the law is bit for bit the one a convolution on the
+    full grid gives.  d comes from positive-mass cells only: a zero-mass
+    atom may carry any score.
     """
+    size_a, size_b = _grid_shape(a, b, n)
     amin, bmin = int(a.min()), int(b.min())
-    size_a = n * (int(a.max()) - amin) + 1
-    size_b = n * (int(b.max()) - bmin) + 1
-    if size_a * size_b > STATE_CAP:
-        raise StateSpaceTooLarge(f"lattice grid {size_a}x{size_b} exceeds {STATE_CAP} states")
     rows, cols = np.nonzero(entries > 0.0)
-    off_a, off_b = a[rows] - amin, b[cols] - bmin
-    o_a, o_b = int(off_a.min()), int(off_b.min())
-    d_a = math.gcd(*(int(x) for x in off_a - o_a)) or 1
-    d_b = math.gcd(*(int(x) for x in off_b - o_b)) or 1
-    steps = [
-        ((int(x) - o_a) // d_a, (int(y) - o_b) // d_b, float(entries[i, j]))
-        for x, y, i, j in zip(off_a, off_b, rows, cols)
-    ]
-    span_a, span_b = max(s[0] for s in steps), max(s[1] for s in steps)
+    low_a, d_a, step_a = _sublattice(a[rows])
+    low_b, d_b, step_b = _sublattice(b[cols])
+    steps = [(int(i), int(j), float(entries[r, c])) for i, j, r, c in zip(step_a, step_b, rows, cols)]
+    span_a, span_b = int(step_a.max()), int(step_b.max())
     cur = np.ones((1, 1))
     for _ in range(n):
         new = np.zeros((cur.shape[0] + span_a, cur.shape[1] + span_b))
@@ -322,19 +335,17 @@ def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> 
             new[ia : ia + cur.shape[0], jb : jb + cur.shape[1]] += p * cur
         cur = new
     law = np.zeros((size_a, size_b))
-    law[
-        n * o_a : n * o_a + d_a * (cur.shape[0] - 1) + 1 : d_a,
-        n * o_b : n * o_b + d_b * (cur.shape[1] - 1) + 1 : d_b,
-    ] = cur
+    o_a, o_b = n * (low_a - amin), n * (low_b - bmin)
+    law[o_a : o_a + d_a * (cur.shape[0] - 1) + 1 : d_a, o_b : o_b + d_b * (cur.shape[1] - 1) + 1 : d_b] = cur
     return law, n * amin, n * bmin
 
 
 def _exact_corr(sb: ScoredBase, n: int) -> float:
     """Exact indicator correlation, every tie decided in integers where it can be.
 
-    The lattice law runs when both sides have integer scores; when its grid
-    passes the state cap, or a side has none, every atom sequence is
-    enumerated instead, summing integers on each side that has them.
+    The lattice path runs when both sides have integer scores; when their
+    full grid passes the state cap, or a side has none, every atom sequence
+    is enumerated instead, summing integers on each side that has them.
     """
     a, b = _integer_scores(sb, n)
     if a is not None and b is not None:
@@ -347,14 +358,83 @@ def _exact_corr(sb: ScoredBase, n: int) -> float:
 
 
 def _exact_corr_lattice(sb: ScoredBase, n: int, a: np.ndarray, b: np.ndarray) -> float:
-    """Indicator correlation from the joint law of integer score sums."""
-    cur, lo_a, lo_b = score_sum_law(sb.base.entries, a, b, n)
-    pos_a = np.arange(cur.shape[0]) + lo_a > 0
-    pos_b = np.arange(cur.shape[1]) + lo_b > 0
-    qa = float(cur[pos_a, :].sum())
-    qb = float(cur[:, pos_b].sum())
-    q11 = float(cur[np.ix_(pos_a, pos_b)].sum())
+    """Indicator correlation from the integer score sums of n copies.
+
+    A full grid past the state cap raises StateSpaceTooLarge first, on
+    every path.  When the positive-mass cells of a side carry exactly two
+    scores, :func:`_two_level_probs` conditions on that side's level count
+    in O(n^2) cells (rows first; the correlation is symmetric in the
+    sides).  Otherwise the probabilities are read off the joint law of
+    :func:`score_sum_law`, O(n^3) cells.
+    """
+    _grid_shape(a, b, n)
+    entries = sb.base.entries
+    rows, cols = np.nonzero(entries > 0.0)
+    if np.unique(a[rows]).size == 2:
+        qa, qb, q11 = _two_level_probs(entries, a, b, n)
+    elif np.unique(b[cols]).size == 2:
+        qb, qa, q11 = _two_level_probs(entries.T, b, a, n)
+    else:
+        cur, lo_a, lo_b = score_sum_law(entries, a, b, n)
+        pos_a = np.arange(cur.shape[0]) + lo_a > 0
+        pos_b = np.arange(cur.shape[1]) + lo_b > 0
+        qa = float(cur[pos_a, :].sum())
+        qb = float(cur[:, pos_b].sum())
+        q11 = float(cur[np.ix_(pos_a, pos_b)].sum())
     return _indicator_corr(q11, qa, qb)
+
+
+def _two_level_probs(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[float, float, float]:
+    """(qa, qb, q11) for row scores ``a`` that take two values, low and
+    low + d, on the positive-mass cells.
+
+    The row sum is n * low + d * K, K the number of copies at the upper
+    level, so it is fixed by K.  Given K = k, the column sum adds k draws
+    from the upper level's cells and n - k from the lower level's.  With B
+    the law of K and T(k) = P(column sum > 0 | K = k), qa sums B(k) over
+    the k with a positive row sum, qb sums B(k) T(k) over every k, and q11
+    over the former.  Every walk steps one positive-mass cell at a time,
+    as :func:`score_sum_law` does; T(k) is divided by the computed totals
+    of its own two walks, so their rounding drift cancels.  The conditional
+    walks are scaled by a power of two at each step, which is exact, so
+    that they cannot underflow.  Every sum is of nonnegative terms, and
+    ties are decided on integer indices.
+    """
+    rows, cols = np.nonzero(entries > 0.0)
+    low_a, d_a, level = _sublattice(a[rows])
+    low_b, d_b, step_b = _sublattice(b[cols])
+    cells = [(int(k), int(j), float(entries[r, c])) for k, j, r, c in zip(level, step_b, rows, cols)]
+    law_k = _walks([(k, p) for k, _, p in cells], n)[-1]
+    lower = _walks([(j, p) for k, j, p in cells if k == 0], n, scaled=True)
+    upper = _walks([(j, p) for k, j, p in cells if k == 1], n, scaled=True)
+    # tails[k, w]: mass of the n - k lower draws whose steps sum to >= w
+    tails = np.zeros((n + 1, lower.shape[1] + 1))
+    tails[:, :-1] = np.cumsum(lower[::-1, ::-1], axis=1)[:, ::-1]
+    first_b = (-n * low_b) // d_b + 1  # the least positive column sum's step
+    above = tails[:, np.clip(first_b - np.arange(upper.shape[1]), 0, lower.shape[1])]
+    cond = np.einsum("ij,ij->i", upper, above) / (upper.sum(axis=1) * tails[:, 0])
+    first_a = max((-n * low_a) // d_a + 1, 0)  # the least K with a positive row sum
+    qa = float(law_k[first_a:].sum())
+    qb = float(law_k @ cond)
+    q11 = float(law_k[first_a:] @ cond[first_a:])
+    return qa, qb, q11
+
+
+def _walks(steps: list[tuple[int, float]], n: int, scaled: bool = False) -> np.ndarray:
+    """Row j holds the walk of j draws: [j, u] is the mass of the j-draw
+    sequences of the (step, mass) cells whose steps sum to u.  When
+    ``scaled``, each row is multiplied by the power of two that puts its
+    total in [1/2, 1); that is exact, and keeps long walks from underflowing."""
+    span = max(s for s, _ in steps)
+    out = np.zeros((n + 1, n * span + 1))
+    out[0, 0] = 1.0
+    for j in range(1, n + 1):
+        prev, row = out[j - 1, : (j - 1) * span + 1], out[j, : j * span + 1]
+        for s, p in steps:
+            row[s : s + prev.size] += p * prev
+        if scaled:
+            np.ldexp(row, -math.frexp(float(row.sum()))[1], out=row)
+    return out
 
 
 def _sequences_exceed_cap(sb: ScoredBase, n: int) -> bool:
@@ -490,9 +570,11 @@ def theorem6_corr(
     A tie (a sum of exactly 0) counts as not positive, and it is decided
     in integers on every side with integer scores: both sides on one scale
     when all scores admit a common denominator up to 1e4, else each side
-    by itself once divided by its smallest |score|.  Exact mode convolves
-    on that integer lattice when both sides have one and its grid fits the
-    state cap, and otherwise enumerates every atom sequence under the cap,
+    by itself once divided by its smallest |score|.  Exact mode works on
+    that integer lattice when both sides have one and its full grid fits
+    the state cap: in O(n^2) cells when the positive-mass scores of a side
+    take two values, by the joint law of :func:`score_sum_law` in O(n^3)
+    otherwise.  Else it enumerates every atom sequence under the cap,
     summing floats only on a side without integer scores.  Monte Carlo
     projects its draws onto the same scores; it needs ``samples`` >= 1000
     and a seed, and its standard error comes from the delta method.
@@ -582,9 +664,8 @@ def theorem6_witness_search(
 
 
 def _f(t: np.ndarray | float) -> np.ndarray | float:
-    t = np.asarray(t, dtype=np.float64)
-    out = np.where(t > 0.0, t * (1.0 - np.log(np.where(t > 0.0, t, 1.0))), 0.0)
-    return out - np.sin(np.pi * t / 2.0)
+    # t in (0, 1] only: the grid is interior and f(0) = 0 is a constant
+    return t * (1.0 - np.log(t)) - np.sin(np.pi * t / 2.0)
 
 
 def _f_prime(t: float) -> float:
@@ -631,10 +712,9 @@ def lemma7_profile(grid_points: int = 100_000) -> Lemma7Profile:
     c = 0.5 * (lo + hi)
 
     spacing = 1.0 / (grid_points + 1)
-    below = ts[ts < c - spacing]
-    above = ts[ts > c + spacing]
-    neg_below = bool(np.all(_f_double_prime(below) < 0.0)) if below.size else True
-    pos_above = bool(np.all(_f_double_prime(above) > 0.0)) if above.size else True
+    fpp = _f_double_prime(ts)
+    neg_below = bool(np.all(fpp[ts < c - spacing] < 0.0))
+    pos_above = bool(np.all(fpp[ts > c + spacing] > 0.0))
 
     f_at_0 = 0.0  # 0 * (1 - log 0) read as 0, sin(0) = 0
     f_at_1 = float(_f(1.0))

@@ -59,7 +59,15 @@ from .errors import (
     ShapeError,
     TooLargeForExact,
 )
-from .joint_pmf import EventPair, JointPMF, _Record, event_masks, holds_bool_or_text, real_array
+from .joint_pmf import (
+    NORMALIZATION_TOL,
+    EventPair,
+    JointPMF,
+    _Record,
+    event_masks,
+    holds_bool_or_text,
+    real_array,
+)
 
 KINDS = ("psi", "lambda", "tau")
 MODES = ("exact", "heuristic", "auto")
@@ -75,6 +83,11 @@ _TOP_SPACE_TOL = 1e-8
 WITNESS_TOL = 1e-12
 CHAIN_TOL = 1e-9
 DOUBLING_TOL = 1e-12
+
+# A score that is constant on the positive-mass atoms keeps a variance of
+# at most about the squared distance of the matrix total from 1, plus
+# rounding; at or below this, score_correlation tests constancy exactly.
+_CONSTANT_VAR = (10.0 * NORMALIZATION_TOL) ** 2
 
 # The heuristic is a deterministic function of the matrix: restarts draw
 # from a fixed-seed generator.
@@ -783,10 +796,17 @@ def _scores(x, n: int, side: str) -> tuple[np.ndarray, float]:
     return arr, scale
 
 
+def _constant_on_mass(x: np.ndarray, weights: np.ndarray) -> bool:
+    kept = x[weights > 0.0]
+    return bool((kept == kept[0]).all())
+
+
 def score_correlation(M: JointPMF, f: np.ndarray, g: np.ndarray) -> float:
     """Correlation of score functions f(row), g(col) under the joint law.
 
-    Scores must be finite reals (else OutOfRange), one per atom (else ShapeError)."""
+    Scores must be finite reals (else OutOfRange), one per atom (else
+    ShapeError).  Scores constant on the positive-mass atoms of a side give
+    exactly 0, whatever rounding leaves in their variance."""
     # Correlation is scale-invariant: max-abs scaling keeps squared scores
     # finite, and the staged division keeps vf * vg from underflowing.
     f, f_scale = _scores(f, M.n_rows, "row")
@@ -800,7 +820,9 @@ def score_correlation(M: JointPMF, f: np.ndarray, g: np.ndarray) -> float:
     eg = float(c @ g)
     vf = float(r @ (f - ef) ** 2)
     vg = float(c @ (g - eg) ** 2)
-    if vf <= 0.0 or vg <= 0.0:
+    if min(vf, vg) <= _CONSTANT_VAR and (
+        vf <= 0.0 or vg <= 0.0 or _constant_on_mass(f, r) or _constant_on_mass(g, c)
+    ):
         return 0.0
     cov = float((f - ef) @ M.entries @ (g - eg))
     return cov / math.sqrt(vf) / math.sqrt(vg)

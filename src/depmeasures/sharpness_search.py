@@ -11,7 +11,8 @@ Two objectives:
     within the exact caps (bases up to 3x3) and otherwise a certified lower
     bound from embedded single-copy events, threshold events of summed
     atom scores (their law from the lattice convolution
-    ``constructions.score_sum_law``, shared with theorem6), and the
+    ``constructions.score_sum_law``, which theorem6 also uses when neither
+    side of its base has exactly two score levels), and the
     alternating heuristic on the join.  Threshold events of higher join
     powers (``n_max >= 3``) raise it further.  The gap can never exceed
     psi(M) - tau(M).

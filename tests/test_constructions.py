@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -525,6 +526,13 @@ def even_scored_3x3():
     return sb
 
 
+def three_by_four_scored():
+    """Centered scores (-1, 0, 1) and (-3, -1, 1, 3): three and four levels."""
+    rows, cols = np.array([1 / 4, 1 / 2, 1 / 4]), np.array([1 / 8, 3 / 8, 3 / 8, 1 / 8])
+    bend = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]) / 64
+    return make_scored_base(from_matrix(np.outer(rows, cols) + bend), [-1, 0, 1], [-3, -1, 1, 3])
+
+
 class TestScoreSumSublattice:
     """The sublattice convolution against the full-grid oracle, bit for bit."""
 
@@ -566,19 +574,11 @@ class TestScoreSumSublattice:
 
     @pytest.mark.parametrize(
         "sb, n",
-        [
-            (pm_one_base(0.4), 128),
-            (even_scored_3x3(), 64),
-            (
-                make_scored_base(
-                    from_matrix([[0.25, 0.25], [0.0, 0.0], [0.25, 0.25]]), [-1.0, 0.3, 1.0], [-1.0, 1.0]
-                ),
-                9,
-            ),
-        ],
-        ids=["sign-pair", "3x3-even-scores", "off-lattice-zero-row"],
+        [(even_scored_3x3(), 64), (three_by_four_scored(), 24)],
+        ids=["3x3-even-scores", "3x4-three-and-four-levels"],
     )
     def test_theorem6_value_unchanged(self, monkeypatch, sb, n):
+        # neither side has two score levels, so the joint law is used
         got = theorem6_corr(sb, n, method="exact").value
         monkeypatch.setattr(constructions, "score_sum_law", full_grid_score_sum_law)
         assert got == theorem6_corr(sb, n, method="exact").value
@@ -589,6 +589,96 @@ class TestScoreSumSublattice:
         got = tensor_gap_lower_bound(m, n_max=3)
         monkeypatch.setattr(sharpness_search, "score_sum_law", full_grid_score_sum_law)
         assert got == tensor_gap_lower_bound(m, n_max=3)
+
+
+# Masses (1/4, 3/4) center the row scores (-1, 1) to (-3, 1) / 2, and
+# (1/4, 1/2, 1/4) the column scores (-1, 0, 2) to (-5, -1, 7) / 4.
+TWO_BY_THREE = [[1 / 8, 1 / 16, 1 / 16], [1 / 8, 7 / 16, 3 / 16]]
+
+
+def law_unused(*args):
+    raise AssertionError("a side with two score levels needs no joint law")
+
+
+def full_grid_probs(entries, a, b, n):
+    """(qa, qb, q11) read off the full-grid joint law of the score sums."""
+    law, lo_a, lo_b = full_grid_score_sum_law(entries, a, b, n)
+    pos_a = np.arange(law.shape[0]) + lo_a > 0
+    pos_b = np.arange(law.shape[1]) + lo_b > 0
+    return float(law[pos_a].sum()), float(law[:, pos_b].sum()), float(law[np.ix_(pos_a, pos_b)].sum())
+
+
+class TestTwoLevelPath:
+    """A side whose positive-mass scores take two values fixes its sum by
+    its level count; the other side's law is conditioned on that count."""
+
+    @pytest.mark.parametrize("n", [16, 33, 64])
+    @pytest.mark.parametrize("t", [0.2, 0.37, 0.5, 0.8, 0.93])
+    def test_sign_pair_matches_rational_oracle(self, monkeypatch, t, n):
+        sb = pm_one_base(t)
+        monkeypatch.setattr(constructions, "score_sum_law", law_unused)
+        got = theorem6_corr(sb, n, method="exact").value
+        want = sum_indicator_corr_rational(sb.base.entries, [-1, 1], [-1, 1], n)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_transpose_gives_the_same_value(self, monkeypatch, n):
+        m = np.array(TWO_BY_THREE)
+        sb = make_scored_base(from_matrix(m), [-1, 1], [-1, 0, 2])
+        transposed = make_scored_base(from_matrix(m.T), [-1, 0, 2], [-1, 1])
+        monkeypatch.setattr(constructions, "score_sum_law", law_unused)
+        got = theorem6_corr(sb, n, method="exact").value
+        assert theorem6_corr(transposed, n, method="exact").value == got
+        want = sum_indicator_corr_rational(m, [-3, 1], [-5, -1, 7], n)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_sign_pair_matches_the_full_grid_law(self, monkeypatch):
+        sb = pm_one_base(0.4)
+        monkeypatch.setattr(constructions, "score_sum_law", law_unused)
+        got = theorem6_corr(sb, 128, method="exact").value
+        a, b = constructions._integer_scores(sb, 128)
+        qa, qb, q11 = full_grid_probs(sb.base.entries, a, b, 128)
+        want = constructions._indicator_corr(q11, qa, qb)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_off_lattice_zero_row(self, monkeypatch, n):
+        # the positive-mass rows score -10 and 10 at scale 10, the empty row
+        # 3; masses (0.4, 0.6) center the column scores (-1, 1) to (-3, 2) / 2.5
+        m = np.array([[0.3, 0.2], [0.0, 0.0], [0.1, 0.4]])
+        sb = make_scored_base(from_matrix(m), [-1.0, 0.3, 1.0], [-1.0, 1.0])
+        assert constructions._integer_scores(sb, n)[0].tolist() == [-10, 3, 10]
+        monkeypatch.setattr(constructions, "score_sum_law", law_unused)
+        got = theorem6_corr(sb, n, method="exact").value
+        want = sum_indicator_corr_rational(m, [-1, Fraction(3, 10), 1], [-3, 2], n)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_seeded_sweep_matches_the_full_grid_law(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n_rows, n_cols = (int(k) for k in rng.integers(2, 5, size=2))
+            entries = rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) > 0.3)
+            a = rng.choice(rng.integers(-4, 5, size=2), size=n_rows) * int(rng.choice([1, 3]))
+            b = rng.integers(-3, 4, size=n_cols) * int(rng.choice([1, 2]))
+            if np.unique(a[entries.sum(axis=1) > 0.0]).size != 2:
+                continue
+            entries /= entries.sum()
+            n = int(rng.integers(1, 13))
+            got = constructions._two_level_probs(entries, a, b, n)
+            want = full_grid_probs(entries, a, b, n)
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_auto_picks_the_method_it_did_on_both_sides_of_the_cap(self):
+        # at n = 1580 the full grid has 3161^2 <= STATE_CAP cells: exact, and
+        # the conditional walks would underflow to nan without their scaling
+        sb = pm_one_base(0.5)
+        est = theorem6_corr(sb, 1580, method="auto", samples=MC_MIN_SAMPLES, seed=1)
+        assert est.method == "exact"
+        assert abs(est.value - clt_limit_corr(0.5)) <= 1e-3
+        with pytest.raises(StateSpaceTooLarge, match="lattice grid 3163x3163"):
+            theorem6_corr(sb, 1581, method="exact")
+        est = theorem6_corr(sb, 1581, method="auto", samples=MC_MIN_SAMPLES, seed=1)
+        assert est.method == "monte_carlo"
 
 
 class TestWitnessSearch:

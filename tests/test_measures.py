@@ -495,6 +495,21 @@ class TestFullReport:
             assert score_correlation(m, f, g) == 0.0
             assert score_correlation(m, g, f) == 0.0
 
+    def test_constant_scores_read_zero_whatever_the_rounding(self):
+        # the marginals of random_joint sum to 1 within an ulp, so a centered
+        # constant kept a variance near 1e-32 and read +-1e-16 to 5e-16
+        for s in range(300):
+            m = random_joint(3, 4, seed=s)
+            assert score_correlation(m, np.full(3, 0.3), [1, 2, 3, 4]) == 0.0
+            assert score_correlation(m, [1, 2, 3], np.full(4, -7.1)) == 0.0
+
+    def test_scores_constant_on_the_positive_mass_atoms_read_zero(self):
+        m = from_matrix([[0.3, 0.0, 0.2], [0.1, 0.0, 0.4]])
+        assert score_correlation(m, [1.0, -2.0], [0.7, 5.0, 0.7]) == 0.0
+        # a spread far below the rounding of a variance still counts
+        tiny = score_correlation(m, [1.0, -2.0], [1.0, 0.0, 1.0 + 2.0**-40])
+        assert tiny == pytest.approx(score_correlation(m, [1.0, -2.0], [0.0, 0.0, 1.0]), rel=1e-3)
+
     def test_heuristic_witness_check_is_relative(self):
         # psi reaches 1e39 here, where one ulp exceeds an absolute 1e-12:
         # 25 of these 60 raised a false witness InvariantViolation before
