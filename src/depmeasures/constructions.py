@@ -14,13 +14,13 @@ Contents:
   * exact and Monte Carlo evaluation of Corr(1[Y_n > 0], 1[Z_n > 0]) where
     Y_n, Z_n are normalized sums of n i.i.d. copies of scored atoms, and a
     scanner for the smallest n at which that correlation exceeds a target
-    level.  The exact lattice path conditions on the level count of a side
-    whose positive-mass scores take two values, in O(n^2) cells; otherwise
-    it uses :func:`score_sum_law`, the n-fold joint law of integer score
-    sums, which the tensor-gap search also uses; it convolves on the
-    sublattice that the positive-mass scores span and returns the law on
-    the full grid.  A sum of exactly 0 counts as not positive, and is
-    decided in integers on every side whose scores lie on a lattice;
+    level.  Each side whose positive-mass scores lie on a lattice is
+    written once as integer steps, and a sum is positive exactly when its
+    step sum reaches a threshold, so a sum of exactly 0 counts as not
+    positive.  The exact lattice path conditions on the level count of a
+    side with two score levels, in O(n^2) cells; otherwise it uses
+    :func:`score_sum_law`, the n-fold joint law of step sums, which the
+    tensor-gap search also uses;
   * a grid profile of f(t) = t(1 - log t) - sin(pi t / 2), which is
     positive on (0, 1) with f(1) = f'(1) = 0 and a single inflection of
     f'' in the interior.
@@ -33,7 +33,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,12 +53,10 @@ from .joint_pmf import (
     _check_real,
     from_jsonable,
     from_matrix,
-    holds_bool_or_text,
     kron,
-    real_array,
     unwrap_manifest,
 )
-from .measures import event_measure, rho as _rho
+from .measures import _scores, event_measure, rho as _rho
 from .theorem_suite import BOUND_TOL, CheckResult, _result
 
 LATTICE_MAX_DENOMINATOR = 10**4
@@ -175,21 +173,14 @@ class ScoredBase(_Record):
 def make_scored_base(
     base: JointPMF, g_raw: Sequence[float], h_raw: Sequence[float]
 ) -> ScoredBase:
-    """Affinely normalize raw scores to mean 0, variance 1 and record r."""
-    try:
-        g_arr = real_array(g_raw)
-        h_arr = real_array(h_raw)
-    except (TypeError, ValueError) as exc:
-        raise OutOfRange(f"scores must be lists of real numbers: {exc}") from exc
-    if g_arr.shape != (base.n_rows,) or h_arr.shape != (base.n_cols,):
-        raise OutOfRange(
-            f"score lengths {g_arr.shape}, {h_arr.shape} do not match shape "
-            f"{base.n_rows}x{base.n_cols}"
-        )
-    if holds_bool_or_text(g_raw) or holds_bool_or_text(h_raw):
-        raise OutOfRange("scores must be real numbers, not booleans or strings")
-    if not (np.isfinite(g_arr).all() and np.isfinite(h_arr).all()):
-        raise OutOfRange("scores must be finite")
+    """Affinely normalize raw scores to mean 0, variance 1 and record r.
+
+    Raw scores follow the rule of :func:`measures.score_correlation`: finite
+    real numbers (else OutOfRange), one per atom of their side (else
+    ShapeError).
+    """
+    g_arr, _ = _scores(g_raw, base.n_rows, "row")
+    h_arr, _ = _scores(h_raw, base.n_cols, "column")
     r_m = base.entries.sum(axis=1)
     c_m = base.entries.sum(axis=0)
     g = _normalize_scores(g_arr, r_m, "g")
@@ -256,203 +247,207 @@ def _lattice_scale(values: np.ndarray, max_den: int, tol: float = 1e-9) -> int |
     return scale
 
 
-def _integer_scores(sb: ScoredBase, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Integer scores of the row and column atoms whose sums have the signs
-    of the sums of ``g`` and of ``h``; None for a side that has none.
+def _steps(ints: np.ndarray, kept: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(low, d, steps): the ``kept`` atoms score low + d * step, low their least
+    score and d the gcd of their distances from it (1 if none); others step 0."""
+    low = int(ints[kept].min())
+    d = math.gcd(*(int(x) for x in ints[kept] - low)) or 1
+    return low, d, np.where(kept, (ints - low) // d, 0)
 
-    Both sides share one scale when all their scores admit a common
-    denominator up to ``LATTICE_MAX_DENOMINATOR``.  Otherwise each side,
-    divided by its smallest |score| above the lattice tolerance, is tried
-    alone, so the (-sqrt 2, sqrt 2 / 2) scores of masses (1/3, 2/3) become
-    (-2, 1).  A side whose n-fold sums could leave int64 gets None too.
+
+# (steps, first) of one side: a sum of n draws is positive when its step sum is >= first
+Lattice = tuple[np.ndarray, int]
+
+
+def _lattice(scores: np.ndarray, masses: np.ndarray, n: int) -> Lattice | None:
+    """(steps, first) for one side whose scores lie on a lattice, else None.
+
+    The positive-mass scores, divided by the least |score| above the
+    lattice tolerance, must share a denominator up to
+    ``LATTICE_MAX_DENOMINATOR``: masses (1/3, 2/3) give (-sqrt 2, sqrt 2 / 2),
+    which is (-2, 1).  As integers they are low + d * step (:func:`_steps`),
+    so a sum of n draws is positive exactly when its step sum is at least
+    ``first``.  None too when n-fold step sums could leave int64.
     """
-    scale = _lattice_scale(np.concatenate([sb.g, sb.h]), LATTICE_MAX_DENOMINATOR)
-    if scale is not None:
-        return _on_lattice(sb.g * scale, n), _on_lattice(sb.h * scale, n)
-    return _side_on_lattice(sb.g, n), _side_on_lattice(sb.h, n)
+    kept = masses > 0.0
+    size = np.abs(scores[kept])
+    unit = np.where(kept, scores, 0.0) / size[size > 1e-9].min()
+    scale = _lattice_scale(unit[kept], LATTICE_MAX_DENOMINATOR)
+    if scale is None or n * scale * float(np.abs(unit).max()) >= 2.0**61:
+        return None
+    low, d, steps = _steps(np.rint(unit * scale).astype(np.int64), kept)
+    return steps, max((-n * low) // d + 1, 0)
 
 
-def _side_on_lattice(x: np.ndarray, n: int) -> np.ndarray | None:
-    unit = x / np.abs(x)[np.abs(x) > 1e-9].min()
-    scale = _lattice_scale(unit, LATTICE_MAX_DENOMINATOR)
-    return None if scale is None else _on_lattice(unit * scale, n)
+def _sum_test(scores: np.ndarray, lattice: Lattice | None) -> tuple[np.ndarray, int]:
+    """Per-atom values and a bar: a sum of draws of ``scores`` is positive
+    exactly when the draws' values sum above the bar.  The values are the
+    integer steps of ``lattice`` when the side has one, else the scores."""
+    if lattice is None:
+        return scores, 0
+    steps, first = lattice
+    return steps, first - 1
 
 
-def _on_lattice(x: np.ndarray, n: int) -> np.ndarray | None:
-    return np.rint(x).astype(np.int64) if n * float(np.abs(x).max()) < 2.0**62 else None
-
-
-def _grid_shape(a: np.ndarray, b: np.ndarray, n: int) -> tuple[int, int]:
-    """Shape of the full grid of n-fold integer score sums; more than
-    ``STATE_CAP`` cells raise StateSpaceTooLarge, before anything is
-    allocated."""
-    size_a = n * (int(a.max()) - int(a.min())) + 1
-    size_b = n * (int(b.max()) - int(b.min())) + 1
+def _check_step_grid(size_a: int, size_b: int) -> None:
+    """More than ``STATE_CAP`` cells of step sums raise StateSpaceTooLarge,
+    before anything is allocated."""
     if size_a * size_b > STATE_CAP:
         raise StateSpaceTooLarge(f"lattice grid {size_a}x{size_b} exceeds {STATE_CAP} states")
-    return size_a, size_b
 
 
-def _sublattice(scores: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(low, d, steps) for the integer scores of the positive-mass cells: low
-    is the smallest score, d the gcd of the others' distances from it (1 if
-    there are none), and each score is low + d * step."""
-    low = int(scores.min())
-    d = math.gcd(*(int(x) for x in scores - low)) or 1
-    return low, d, (scores - low) // d
+def _cells(entries: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[tuple[int, list[tuple[int, float]]]]:
+    """The positive-mass cells, row-major, by atom row: (row step,
+    [(column step, mass), ...])."""
+    return [
+        (int(a[r]), [(int(b[c]), float(entries[r, c])) for c in np.flatnonzero(entries[r] > 0.0)])
+        for r in np.flatnonzero((entries > 0.0).any(axis=1))
+    ]
 
 
-def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, int, int]:
-    """Joint law of the integer score sums of n i.i.d. copies of a base.
+def _convolve(cur: np.ndarray, out: np.ndarray, shifts: list[tuple[int, float]]) -> None:
+    """One more draw along the last axis: add each (step, mass) shift's mass
+    times ``cur``, moved by its step, into ``out``."""
+    width = cur.shape[-1]
+    for s, p in shifts:
+        out[..., s : s + width] += p * cur
 
-    ``a`` and ``b`` are integer scores of the row and column atoms of the
-    mass matrix ``entries``.  Returns (law, lo_a, lo_b) with law[i, j] =
-    P(sum of a = lo_a + i, sum of b = lo_b + j); the law has
-    (n * span(a) + 1) x (n * span(b) + 1) cells, and a grid of more than
-    ``STATE_CAP`` cells raises StateSpaceTooLarge before anything is
-    allocated.
 
-    On each side every sum lands on n * low + d * k, where low is the
-    smallest score of a positive-mass cell and d the gcd of the other such
-    scores' distances from it.  So the n-fold convolution over the
-    positive-mass cells (row-major order) runs on that sublattice and is
-    scattered into the full grid.  The cells it skips are exact zeros at
-    every step, so the law is bit for bit the one a convolution on the
-    full grid gives.  d comes from positive-mass cells only: a zero-mass
-    atom may carry any score.
+def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Joint law of the step sums of n i.i.d. copies of a base.
+
+    ``a`` and ``b`` are nonnegative integer steps of the row and column
+    atoms of the mass matrix ``entries``.  Returns law[i, j] = P(sum of a
+    = i, sum of b = j) on (n * span_a + 1) x (n * span_b + 1) cells, the
+    spans being the largest steps of positive-mass cells; past
+    ``STATE_CAP`` cells it raises StateSpaceTooLarge before allocating.
     """
-    size_a, size_b = _grid_shape(a, b, n)
-    amin, bmin = int(a.min()), int(b.min())
-    rows, cols = np.nonzero(entries > 0.0)
-    low_a, d_a, step_a = _sublattice(a[rows])
-    low_b, d_b, step_b = _sublattice(b[cols])
-    steps = [(int(i), int(j), float(entries[r, c])) for i, j, r, c in zip(step_a, step_b, rows, cols)]
-    span_a, span_b = int(step_a.max()), int(step_b.max())
+    cells = _cells(entries, a, b)
+    span_a = max(i for i, _ in cells)
+    span_b = max(j for _, row in cells for j, _ in row)
+    _check_step_grid(n * span_a + 1, n * span_b + 1)
     cur = np.ones((1, 1))
     for _ in range(n):
         new = np.zeros((cur.shape[0] + span_a, cur.shape[1] + span_b))
-        for ia, jb, p in steps:
-            new[ia : ia + cur.shape[0], jb : jb + cur.shape[1]] += p * cur
+        for i, row in cells:
+            _convolve(cur, new[i : i + cur.shape[0]], row)
         cur = new
-    law = np.zeros((size_a, size_b))
-    o_a, o_b = n * (low_a - amin), n * (low_b - bmin)
-    law[o_a : o_a + d_a * (cur.shape[0] - 1) + 1 : d_a, o_b : o_b + d_b * (cur.shape[1] - 1) + 1 : d_b] = cur
-    return law, n * amin, n * bmin
+    return cur
 
 
 def _exact_corr(sb: ScoredBase, n: int) -> float:
     """Exact indicator correlation, every tie decided in integers where it can be.
 
-    The lattice path runs when both sides have integer scores; when their
-    full grid passes the state cap, or a side has none, every atom sequence
-    is enumerated instead, summing integers on each side that has them.
+    Every exact path reads the masses here, divided by their ``fsum`` when
+    that is not exactly 1, so a total off 1 does not drift the value by n
+    times its error.  When a side has no lattice, or the step grid passes
+    the state cap, every atom sequence is enumerated instead.
     """
-    a, b = _integer_scores(sb, n)
-    if a is not None and b is not None:
-        try:
-            return _exact_corr_lattice(sb, n, a, b)
-        except StateSpaceTooLarge:
-            if _sequences_exceed_cap(sb, n):
-                raise
-    return _exact_corr_enumerate(sb, n, a, b)
-
-
-def _exact_corr_lattice(sb: ScoredBase, n: int, a: np.ndarray, b: np.ndarray) -> float:
-    """Indicator correlation from the integer score sums of n copies.
-
-    A full grid past the state cap raises StateSpaceTooLarge first, on
-    every path.  When the positive-mass cells of a side carry exactly two
-    scores, :func:`_two_level_probs` conditions on that side's level count
-    in O(n^2) cells (rows first; the correlation is symmetric in the
-    sides).  Otherwise the probabilities are read off the joint law of
-    :func:`score_sum_law`, O(n^3) cells.
-    """
-    _grid_shape(a, b, n)
     entries = sb.base.entries
-    rows, cols = np.nonzero(entries > 0.0)
-    if np.unique(a[rows]).size == 2:
-        qa, qb, q11 = _two_level_probs(entries, a, b, n)
-    elif np.unique(b[cols]).size == 2:
-        qb, qa, q11 = _two_level_probs(entries.T, b, a, n)
+    total = math.fsum(entries.ravel())
+    if total != 1.0:
+        entries = entries / total
+    lat_a = _lattice(sb.g, entries.sum(axis=1), n)
+    lat_b = _lattice(sb.h, entries.sum(axis=0), n)
+    if lat_a is not None and lat_b is not None:
+        try:
+            return _exact_corr_lattice(entries, n, lat_a, lat_b)
+        except StateSpaceTooLarge:
+            if _sequences_exceed_cap(entries, n):
+                raise
+    return _exact_corr_enumerate(entries, n, _sum_test(sb.g, lat_a), _sum_test(sb.h, lat_b))
+
+
+def _exact_corr_lattice(entries: np.ndarray, n: int, lat_a: Lattice, lat_b: Lattice) -> float:
+    """Indicator correlation from the step sums of n copies.
+
+    The step grid, (n * max step + 1) cells a side, is the largest array
+    either path allocates, and past the state cap raises first.  A side of
+    two score levels (largest step 1) takes :func:`_two_level_probs`, in
+    O(n^2) cells, rows first; else :func:`score_sum_law`, O(n^3) cells.
+    """
+    (a, first_a), (b, first_b) = lat_a, lat_b
+    _check_step_grid(n * int(a.max()) + 1, n * int(b.max()) + 1)
+    if a.max() == 1:
+        qa, qb, q11 = _two_level_probs(entries, lat_a, lat_b, n)
+    elif b.max() == 1:
+        qb, qa, q11 = _two_level_probs(entries.T, lat_b, lat_a, n)
     else:
-        cur, lo_a, lo_b = score_sum_law(entries, a, b, n)
-        pos_a = np.arange(cur.shape[0]) + lo_a > 0
-        pos_b = np.arange(cur.shape[1]) + lo_b > 0
-        qa = float(cur[pos_a, :].sum())
-        qb = float(cur[:, pos_b].sum())
-        q11 = float(cur[np.ix_(pos_a, pos_b)].sum())
+        law = score_sum_law(entries, a, b, n)
+        qa = float(law[first_a:].sum())
+        qb = float(law[:, first_b:].sum())
+        q11 = float(law[first_a:, first_b:].sum())
     return _indicator_corr(q11, qa, qb)
 
 
-def _two_level_probs(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[float, float, float]:
-    """(qa, qb, q11) for row scores ``a`` that take two values, low and
-    low + d, on the positive-mass cells.
+def _two_level_probs(entries: np.ndarray, lat_a: Lattice, lat_b: Lattice, n: int) -> tuple[float, ...]:
+    """(qa, qb, q11) for row steps 0 and 1 on the positive-mass cells.
 
-    The row sum is n * low + d * K, K the number of copies at the upper
-    level, so it is fixed by K.  Given K = k, the column sum adds k draws
-    from the upper level's cells and n - k from the lower level's.  With B
-    the law of K and T(k) = P(column sum > 0 | K = k), qa sums B(k) over
-    the k with a positive row sum, qb sums B(k) T(k) over every k, and q11
-    over the former.  Every walk steps one positive-mass cell at a time,
-    as :func:`score_sum_law` does; T(k) is divided by the computed totals
-    of its own two walks, so their rounding drift cancels.  The conditional
-    walks are scaled by a power of two at each step, which is exact, so
-    that they cannot underflow.  Every sum is of nonnegative terms, and
-    ties are decided on integer indices.
+    The row step sum is K, the number of copies at the upper level.  Given
+    K = k, the column sum adds k draws from the upper level's cells and
+    n - k from the lower level's.  With B the law of K and T(k) = P(column
+    step sum >= first_b | K = k), qa sums B(k) over k >= first_a, qb sums
+    B(k) T(k) over every k, and q11 over the former.  Each walk adds one
+    positive-mass cell at a time; T(k) is divided by the computed totals of
+    its own two walks, so their rounding drift cancels, and those walks are
+    scaled by an exact power of two at each step, so they cannot underflow.
+    Only the upper walk is kept whole, on the step grid; B and the lower
+    walk are read one draw count at a time.
     """
-    rows, cols = np.nonzero(entries > 0.0)
-    low_a, d_a, level = _sublattice(a[rows])
-    low_b, d_b, step_b = _sublattice(b[cols])
-    cells = [(int(k), int(j), float(entries[r, c])) for k, j, r, c in zip(level, step_b, rows, cols)]
-    law_k = _walks([(k, p) for k, _, p in cells], n)[-1]
-    lower = _walks([(j, p) for k, j, p in cells if k == 0], n, scaled=True)
-    upper = _walks([(j, p) for k, j, p in cells if k == 1], n, scaled=True)
-    # tails[k, w]: mass of the n - k lower draws whose steps sum to >= w
-    tails = np.zeros((n + 1, lower.shape[1] + 1))
-    tails[:, :-1] = np.cumsum(lower[::-1, ::-1], axis=1)[:, ::-1]
-    first_b = (-n * low_b) // d_b + 1  # the least positive column sum's step
-    above = tails[:, np.clip(first_b - np.arange(upper.shape[1]), 0, lower.shape[1])]
-    cond = np.einsum("ij,ij->i", upper, above) / (upper.sum(axis=1) * tails[:, 0])
-    first_a = max((-n * low_a) // d_a + 1, 0)  # the least K with a positive row sum
+    (a, first_a), (b, first_b) = lat_a, lat_b
+    cells = _cells(entries, a, b)
+    for law_k in _walk([(k, p) for k, row in cells for _, p in row], n):
+        pass
+    lower, upper = ([shift for k, row in cells if k == level for shift in row] for level in (0, 1))
+    # ups[k]: the upper walk of k draws
+    ups = np.zeros((n + 1, n * max(j for j, _ in upper) + 1))
+    for k, row in enumerate(_walk(upper, n, scaled=True)):
+        ups[k, : row.size] = row
+    # tail[w]: mass of the m lower draws whose steps sum to >= w, 0 past them
+    tail = np.zeros(n * max(j for j, _ in lower) + 2)
+    index = np.clip(first_b - np.arange(ups.shape[1]), 0, tail.size - 1)
+    cond = np.empty(n + 1)
+    for m, row in enumerate(_walk(lower, n, scaled=True)):
+        np.cumsum(row[::-1], out=tail[row.size - 1 :: -1])
+        terms = np.cumsum(ups[n - m] * tail[index])  # summed left to right
+        cond[n - m] = terms[-1] / (ups[n - m].sum() * tail[0])
     qa = float(law_k[first_a:].sum())
     qb = float(law_k @ cond)
     q11 = float(law_k[first_a:] @ cond[first_a:])
     return qa, qb, q11
 
 
-def _walks(steps: list[tuple[int, float]], n: int, scaled: bool = False) -> np.ndarray:
-    """Row j holds the walk of j draws: [j, u] is the mass of the j-draw
-    sequences of the (step, mass) cells whose steps sum to u.  When
-    ``scaled``, each row is multiplied by the power of two that puts its
+def _walk(shifts: list[tuple[int, float]], n: int, scaled: bool = False) -> Iterator[np.ndarray]:
+    """Yield the walk of j draws for j = 0, ..., n: [u] is the mass of the
+    j-draw sequences of the (step, mass) shifts whose steps sum to u.  When
+    ``scaled``, each walk is multiplied by the power of two that puts its
     total in [1/2, 1); that is exact, and keeps long walks from underflowing."""
-    span = max(s for s, _ in steps)
-    out = np.zeros((n + 1, n * span + 1))
-    out[0, 0] = 1.0
+    span = max(s for s, _ in shifts)
+    row = np.ones(1)
+    yield row
     for j in range(1, n + 1):
-        prev, row = out[j - 1, : (j - 1) * span + 1], out[j, : j * span + 1]
-        for s, p in steps:
-            row[s : s + prev.size] += p * prev
+        prev, row = row, np.zeros(j * span + 1)
+        _convolve(prev, row, shifts)
         if scaled:
             np.ldexp(row, -math.frexp(float(row.sum()))[1], out=row)
-    return out
+        yield row
 
 
-def _sequences_exceed_cap(sb: ScoredBase, n: int) -> bool:
+def _sequences_exceed_cap(entries: np.ndarray, n: int) -> bool:
     # at least 2 cells carry mass, so past n = 64 the count exceeds any cap
-    return int(np.count_nonzero(sb.base.entries > 0.0)) ** min(n, 64) > STATE_CAP
+    return int(np.count_nonzero(entries > 0.0)) ** min(n, 64) > STATE_CAP
 
 
 def _exact_corr_enumerate(
-    sb: ScoredBase, n: int, a: np.ndarray | None, b: np.ndarray | None
+    entries: np.ndarray, n: int, test_a: tuple[np.ndarray, int], test_b: tuple[np.ndarray, int]
 ) -> float:
-    """Vectorized enumeration of all (I*J)^n atom sequences; the sums of a
-    side run on its integer scores ``a`` or ``b`` unless that is None."""
-    rows, cols = np.nonzero(sb.base.entries > 0.0)
-    if _sequences_exceed_cap(sb, n):
+    """Vectorized enumeration of all (I*J)^n atom sequences; a side's sum is
+    positive when its values sum above its bar (see :func:`_sum_test`)."""
+    rows, cols = np.nonzero(entries > 0.0)
+    if _sequences_exceed_cap(entries, n):
         raise StateSpaceTooLarge(f"{rows.size}^{n} sequences exceed the {STATE_CAP} cap")
-    gstep = (sb.g if a is None else a)[rows]
-    hstep = (sb.h if b is None else b)[cols]
-    pstep = sb.base.entries[rows, cols]
+    (g, bar_a), (h, bar_b) = test_a, test_b
+    gstep, hstep, pstep = g[rows], h[cols], entries[rows, cols]
     sums_g = np.zeros(1, dtype=gstep.dtype)
     sums_h = np.zeros(1, dtype=hstep.dtype)
     probs = np.ones(1)
@@ -460,8 +455,8 @@ def _exact_corr_enumerate(
         sums_g = (sums_g[:, None] + gstep[None, :]).ravel()
         sums_h = (sums_h[:, None] + hstep[None, :]).ravel()
         probs = (probs[:, None] * pstep[None, :]).ravel()
-    mask_a = sums_g > 0
-    mask_b = sums_h > 0
+    mask_a = sums_g > bar_a
+    mask_b = sums_h > bar_b
     qa = float(probs[mask_a].sum())
     qb = float(probs[mask_b].sum())
     q11 = float(probs[mask_a & mask_b].sum())
@@ -477,14 +472,16 @@ def _mc_corr(sb: ScoredBase, n: int, samples: int, seed: int) -> tuple[float, fl
     numpy's multinomial sampler releases the interpreter lock.  Every
     stream yields three integer counts, and integer sums are exact, so the
     estimate and its standard error do not depend on the number of CPUs;
-    no setting chooses it.  Each draw is projected onto the integer scores
-    of :func:`_integer_scores` on every side that has them, so a sum that
-    is 0 in exact arithmetic counts as not positive.
+    no setting chooses it.  Each draw is projected onto the steps of
+    :func:`_lattice` on every side that has them, so a sum that is 0 in
+    exact arithmetic counts as not positive.
     """
-    p_cells = _sampler_masses(sb.base.entries.ravel())
-    a, b = _integer_scores(sb, n)
-    g_cell = np.repeat(sb.g if a is None else a, sb.base.n_cols)
-    h_cell = np.tile(sb.h if b is None else b, sb.base.n_rows)
+    entries = sb.base.entries
+    p_cells = _sampler_masses(entries.ravel())
+    g, bar_a = _sum_test(sb.g, _lattice(sb.g, entries.sum(axis=1), n))
+    h, bar_b = _sum_test(sb.h, _lattice(sb.h, entries.sum(axis=0), n))
+    g_cell = np.repeat(g, sb.base.n_cols)
+    h_cell = np.tile(h, sb.base.n_rows)
     n_streams = -(-samples // MC_STREAM_SIZE)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, n_streams)
@@ -499,8 +496,8 @@ def _mc_corr(sb: ScoredBase, n: int, samples: int, seed: int) -> tuple[float, fl
             take = min(MC_STREAM_SIZE, samples - stream * MC_STREAM_SIZE)
             for done in range(0, take, _MC_BLOCK):
                 counts = rng.multinomial(n, p_cells, size=min(_MC_BLOCK, take - done))
-                ya = counts @ g_cell > 0
-                zb = counts @ h_cell > 0
+                ya = counts @ g_cell > bar_a
+                zb = counts @ h_cell > bar_b
                 n11 += int((ya & zb).sum())
                 na += int(ya.sum())
                 nb += int(zb.sum())
@@ -568,16 +565,15 @@ def theorem6_corr(
     """Corr(1[Y_n > 0], 1[Z_n > 0]) for Y_n, Z_n sums of n scored copies.
 
     A tie (a sum of exactly 0) counts as not positive, and it is decided
-    in integers on every side with integer scores: both sides on one scale
-    when all scores admit a common denominator up to 1e4, else each side
-    by itself once divided by its smallest |score|.  Exact mode works on
-    that integer lattice when both sides have one and its full grid fits
-    the state cap: in O(n^2) cells when the positive-mass scores of a side
-    take two values, by the joint law of :func:`score_sum_law` in O(n^3)
+    in integer steps on every side with a lattice (:func:`_lattice`).
+    Exact mode divides the masses by their total and works on the steps
+    when both sides have them and the step grid, (n * largest step + 1)
+    cells a side, fits the state cap: in O(n^2) cells when a side has two
+    score levels, by the joint law of :func:`score_sum_law` in O(n^3)
     otherwise.  Else it enumerates every atom sequence under the cap,
-    summing floats only on a side without integer scores.  Monte Carlo
-    projects its draws onto the same scores; it needs ``samples`` >= 1000
-    and a seed, and its standard error comes from the delta method.
+    summing floats only on a side without a lattice.  Monte Carlo projects
+    its draws onto the same steps; it needs ``samples`` >= 1000 and a
+    seed, and its standard error comes from the delta method.
     ``auto`` prefers exact and falls back to Monte Carlo.  ``n`` and
     ``samples`` follow the integer rule of :func:`_check_integer`.
     """

@@ -11,8 +11,8 @@ Two objectives:
     within the exact caps (bases up to 3x3) and otherwise a certified lower
     bound from embedded single-copy events, threshold events of summed
     atom scores (their law from the lattice convolution
-    ``constructions.score_sum_law``, which theorem6 also uses when neither
-    side of its base has exactly two score levels), and the
+    ``constructions.score_sum_law``, which theorem6 also uses when each
+    side of its base has three or more score levels), and the
     alternating heuristic on the join.  Threshold events of higher join
     powers (``n_max >= 3``) raise it further.  The gap can never exceed
     psi(M) - tau(M).
@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constructions import _indicator_corr, score_sum_law, yy_pair
+from .constructions import _indicator_corr, _steps, score_sum_law, yy_pair
 from .errors import InvariantViolation, OutOfRange, ShapeError
 from .joint_pmf import JointPMF, _kron_entries, _validated, from_matrix
 from .joint_pmf import _Record, _check_integer, _check_real, _check_shape
@@ -341,8 +341,9 @@ def _threshold_family_bound(entries: np.ndarray, n: int) -> float:
     The score functions are the maximal-correlation witnesses quantized to
     an integer lattice (quantizing only changes which events are scanned,
     so the result stays a valid lower bound for tau of the join); the
-    joint law of their sums comes from :func:`score_sum_law`.  The scale
-    halves until the grid fits; returns 0 when it never does.
+    joint law of their step sums (:func:`_steps`), on which the threshold
+    pairs are scanned, comes from :func:`score_sum_law`.  The scale halves
+    until the full grid fits; returns 0 when it never does.
     """
     res = _spectral_rho(entries)
     if res.value <= 1e-8:
@@ -362,7 +363,9 @@ def _threshold_family_bound(entries: np.ndarray, n: int) -> float:
         return 0.0
     if a.max() == a.min() or b.max() == b.min():
         return 0.0
-    cur, _, _ = score_sum_law(entries, a, b, n)
+    _, _, a = _steps(a, entries.sum(axis=1) > 0.0)
+    _, _, b = _steps(b, entries.sum(axis=0) > 0.0)
+    cur = score_sum_law(entries, a, b, n)
     # survival[i, j] = P(sum_a index >= i, sum_b index >= j); the running
     # cumsum only RANKS candidate threshold pairs -- far-tail cells carry
     # sequential-summation dust, so extreme tails are masked out and the

@@ -1,10 +1,10 @@
 """The full-grid score-sum convolution, kept as a test oracle.
 
-This is the loop the package ran before it convolved on the sublattice
-that the positive-mass cells span: every step multiplies and adds every
-cell of the (n * span(a) + 1) x (n * span(b) + 1) grid, including the
-cells that are always zero.  The sublattice convolution must return the
-same array bit for bit.
+This is the loop the package ran before it convolved on integer steps:
+every step multiplies and adds every cell of the (n * span(a) + 1) x
+(n * span(b) + 1) grid of integer scores, including the cells that are
+always zero.  The law of the reduced steps, scattered back onto that
+grid, must be the same array bit for bit.
 """
 
 from __future__ import annotations

@@ -272,13 +272,14 @@ class TestTheorem6Cli:
         f = tmp_path / "yy.json"
         assert run(["yy", "--t", "0.5", "--out", str(f)]) == 0
         assert run(["theorem6", "--base", str(f), "--g=-1,1", "--h=-1,1",
-                    "--n", "1600", "--method", "exact"]) == 2
-        assert "lattice grid 3201x3201 exceeds" in capsys.readouterr().err
+                    "--n", "3162", "--method", "exact"]) == 2
+        assert "lattice grid 3163x3163 exceeds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("g, message", [
-        ("nan,1", "scores must be finite"),
-        ("inf,1", "scores must be finite"),
+        ("nan,1", "row scores must be finite"),
+        ("inf,1", "row scores must be finite"),
         ("1e308,-1e308", "g variance overflows"),
+        ("-1,0,1", "row scores have shape (3,), M has 2 row atoms"),
     ])
     def test_non_finite_or_overflowing_scores_exit_2(self, tmp_path, capsys, g, message):
         f = tmp_path / "yy.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from depmeasures import (
     InvariantViolation,
     OutOfRange,
     PreconditionFailed,
+    ShapeError,
     StateSpaceTooLarge,
     TooFewSamples,
     ZeroVariance,
@@ -173,10 +175,16 @@ class TestScoredBase:
         assert c_m @ sb.h**2 == pytest.approx(1.0, abs=1e-12)
 
     def test_non_numeric_scores_are_out_of_range(self):
-        with pytest.raises(OutOfRange, match="scores must be lists of real numbers"):
+        with pytest.raises(OutOfRange, match="row scores must be real numbers"):
             make_scored_base(yy_pair(0.5), ["x", 1.0], [-1.0, 1.0])
-        with pytest.raises(OutOfRange, match="scores must be lists of real numbers"):
+        with pytest.raises(OutOfRange, match="column scores must be real numbers"):
             make_scored_base(yy_pair(0.5), [-1.0, 1.0], [[-1.0], 1.0])
+
+    def test_score_count_not_matching_the_side_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match=r"row scores have shape \(3,\), M has 2 row atoms"):
+            make_scored_base(yy_pair(0.5), [-1.0, 0.0, 1.0], [-1.0, 1.0])
+        with pytest.raises(ShapeError, match=r"column scores have shape \(1,\), M has 2 column atoms"):
+            make_scored_base(yy_pair(0.5), [-1.0, 1.0], [1.0])
 
     def test_constant_scores_rejected(self):
         with pytest.raises(ZeroVariance):
@@ -221,7 +229,7 @@ class TestScoredBase:
             make_scored_base(yy_pair(0.5), [1e200, 1e200], [-1.0, 1.0])
 
     def test_scalar_scores_rejected(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ShapeError, match=r"row scores have shape \(\)"):
             make_scored_base(yy_pair(0.5), 1.0, [-1.0, 1.0])
 
     def test_json_roundtrip(self):
@@ -259,14 +267,13 @@ class TestTheorem6Corr:
 
     def test_score_sum_law_matches_enumeration(self):
         entries = np.array([[0.1, 0.2, 0.0], [0.3, 0.0, 0.4]])
-        a, b, n = np.array([-1, 2]), np.array([0, 1, -3]), 3
-        law, lo_a, lo_b = score_sum_law(entries, a, b, n)
+        a, b, n = np.array([0, 3]), np.array([3, 4, 0]), 3
+        law = score_sum_law(entries, a, b, n)
         assert law.shape == (n * 3 + 1, n * 4 + 1)
-        assert (lo_a, lo_b) == (-n, -3 * n)
         want = np.zeros_like(law)
         for cells in itertools.product(np.ndindex(*entries.shape), repeat=n):
             p = math.prod(entries[c] for c in cells)
-            want[sum(a[i] for i, _ in cells) - lo_a, sum(b[j] for _, j in cells) - lo_b] += p
+            want[sum(a[i] for i, _ in cells), sum(b[j] for _, j in cells)] += p
         assert np.allclose(law, want, rtol=0.0, atol=1e-15)
 
     def test_score_sum_law_checks_the_grid_before_allocating(self):
@@ -290,13 +297,36 @@ class TestTheorem6Corr:
             theorem6_corr(sb, 64, method="exact")
 
     def test_sign_pair_lattice_beyond_state_cap(self):
-        # the full grid has 3201^2 > STATE_CAP cells, though the sign pair's
-        # sums fill only one cell in two on each side
+        # the step grid has 3163^2 > STATE_CAP cells: the sign pair's sums
+        # move in steps of 2, one step a copy, so a side has n + 1 cells
         sb = pm_one_base(0.5)
-        with pytest.raises(StateSpaceTooLarge, match="lattice grid 3201x3201"):
-            theorem6_corr(sb, 1600, method="exact")
-        est = theorem6_corr(sb, 1600, method="auto", samples=MC_MIN_SAMPLES, seed=1)
+        with pytest.raises(StateSpaceTooLarge, match="lattice grid 3163x3163"):
+            theorem6_corr(sb, 3162, method="exact")
+        est = theorem6_corr(sb, 3162, method="auto", samples=MC_MIN_SAMPLES, seed=1)
         assert est.method == "monte_carlo"
+
+    def test_two_level_path_holds_one_step_grid(self):
+        # the upper walk is the one step-grid array; the law of K and the
+        # lower walk are held one draw count at a time
+        n = 1000
+        tracemalloc.start()
+        try:
+            theorem6_corr(pm_one_base(0.45), n, method="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (n + 1) ** 2 * 8
+
+    def test_masses_are_divided_by_their_total(self):
+        # a total of 1 + 5e-10 passes validation; read as probabilities, it
+        # drifted the value by about n times 5e-10
+        scaled = from_matrix(yy_pair(0.5).entries * (1.0 + 5e-10))
+        assert math.fsum(scaled.entries.ravel()) != 1.0
+        sb = make_scored_base(scaled, [-1.0, 1.0], [-1.0, 1.0])
+        assert abs(theorem6_corr(sb, 1, method="exact").value - 0.5) <= 1e-15
+        want = theorem6_corr(pm_one_base(0.5), 384, method="exact").value
+        got = theorem6_corr(sb, 384, method="exact").value
+        assert abs(got - want) <= 1e-14 * want
 
     def test_mc_requires_samples_and_seed(self):
         sb = pm_one_base(0.5)
@@ -391,21 +421,37 @@ class TestExactTies:
         # the column scores share no lattice: only that side sums floats
         m = np.outer([1 / 3, 2 / 3], [0.25, 0.35, 0.4]) + [[0.02, 0.0, -0.02], [-0.02, 0.0, 0.02]]
         sb = make_scored_base(from_matrix(m), [-1, 1], [0, 1, math.sqrt(2)])
-        a, b = constructions._integer_scores(sb, 6)
-        assert a.tolist() == [-2, 1] and b is None
+        steps, first = constructions._lattice(sb.g, sb.base.entries.sum(axis=1), 6)
+        # -2k + (6 - k) > 0 needs k >= 5 copies at the upper level
+        assert steps.tolist() == [0, 1] and first == 5
+        assert constructions._lattice(sb.h, sb.base.entries.sum(axis=0), 6) is None
         want = sum_indicator_corr_rational(sb.base.entries, [-2, 1], sb.h, 6)
         assert theorem6_corr(sb, 6, method="exact").value == pytest.approx(want, abs=1e-12)
 
     def test_wide_lattice_falls_back_to_enumeration(self):
-        # each side is (-5679, 4321) times its smallest |score|: the n = 3
-        # grid passes the state cap, and the 4^3 sequences are enumerated
-        marg = np.array([0.4321, 0.5679])
-        m = np.outer(marg, marg) + [[0.05, -0.05], [-0.05, 0.05]]
-        sb = make_scored_base(from_matrix(m), [-1, 1], [-1, 1])
-        a, b = constructions._integer_scores(sb, 3)
-        assert a.tolist() == b.tolist() == [-5679, 4321]
-        want = sum_indicator_corr_rational(sb.base.entries, [-5679, 4321], [-5679, 4321], 3)
+        # raw scores (-4999, 1, 5000) under masses (1/4, 1/2, 1/4) center to
+        # (-19999, 1, 19997) / 4: steps (0, 5000, 9999) of 4 units each.  The
+        # n = 3 step grid passes the state cap; the 9^3 sequences do not
+        marg = np.array([0.25, 0.5, 0.25])
+        corner = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
+        sb = make_scored_base(from_matrix(np.outer(marg, marg) + corner / 64), [-4999, 1, 5000], [-4999, 1, 5000])
+        lat = constructions._lattice(sb.g, marg, 3)
+        assert lat[0].tolist() == [0, 5000, 9999] and lat[1] == 15000
+        with pytest.raises(StateSpaceTooLarge, match="lattice grid 29998x29998"):
+            constructions._exact_corr_lattice(sb.base.entries, 3, lat, lat)
+        want = sum_indicator_corr_rational(sb.base.entries, [-19999, 1, 19997], [-19999, 1, 19997], 3)
         assert theorem6_corr(sb, 3, method="exact").value == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_zero_mass_atom_does_not_decide_the_lattice(self, n):
+        # the empty row's score, pi, is off any lattice; the other rows
+        # center to (-4/3, 2/3), so the row side has steps (0, 1)
+        m = [[0.2, 0.13333333333333333], [0.3, 0.36666666666666664], [0.0, 0.0]]
+        sb = make_scored_base(from_matrix(m), [-1, 1, math.pi], [-1, 1])
+        steps, _ = constructions._lattice(sb.g, sb.base.entries.sum(axis=1), n)
+        assert steps.tolist() == [0, 1, 0]
+        want = sum_indicator_corr_rational(sb.base.entries, [-2, 1, 0], [-1, 1], n)
+        assert abs(theorem6_corr(sb, n, method="exact").value - want) <= 1e-14 * abs(want)
 
 
 MC_BASES = {
@@ -505,16 +551,54 @@ class TestIntegerRule:
         assert type(lemma7_profile(np.int64(1000)).grid_points) is int
 
 
-def lattice_gcd(entries, scores, axis):
-    """gcd of the positive-mass atoms' distances from the smallest such score."""
-    kept = scores[entries.sum(axis=axis) > 0.0]
-    return math.gcd(*(int(x) for x in kept - kept.min()))
-
-
 def same_law(got, want):
     law, lo_a, lo_b = got
     ref, ref_a, ref_b = want
     return law.shape == ref.shape and law.tobytes() == ref.tobytes() and (lo_a, lo_b) == (ref_a, ref_b)
+
+
+def sublattice_steps(entries, scores, axis):
+    """(low, d, steps) of integer scores: the positive-mass atoms score
+    low + d * step, d the gcd of their distances from low; zero-mass atoms
+    get step 0."""
+    kept = entries.sum(axis=axis) > 0.0
+    low = int(scores[kept].min())
+    d = math.gcd(*(int(x) for x in scores[kept] - low)) or 1
+    return low, d, np.where(kept, (scores - low) // d, 0)
+
+
+def int_lattice(entries, scores, axis, n):
+    """(steps, first) of integer scores: a sum of n draws is positive
+    exactly when its step sum is at least first."""
+    low, d, steps = sublattice_steps(entries, scores, axis)
+    return steps, max((-n * low) // d + 1, 0)
+
+
+def scattered_law(entries, a, b, n):
+    """The step law of the reduced integer scores ``a``, ``b``, scattered
+    with stride d into their full grid: (law, lo_a, lo_b) as the full-grid
+    oracle returns it."""
+    low_a, d_a, step_a = sublattice_steps(entries, a, 1)
+    low_b, d_b, step_b = sublattice_steps(entries, b, 0)
+    law = score_sum_law(entries, step_a, step_b, n)
+    amin, bmin = int(a.min()), int(b.min())
+    full = np.zeros((n * (int(a.max()) - amin) + 1, n * (int(b.max()) - bmin) + 1))
+    o_a, o_b = n * (low_a - amin), n * (low_b - bmin)
+    full[o_a : o_a + d_a * (law.shape[0] - 1) + 1 : d_a, o_b : o_b + d_b * (law.shape[1] - 1) + 1 : d_b] = law
+    return full, n * amin, n * bmin
+
+
+def full_grid_step_law(entries, a, b, n):
+    """The full-grid oracle in :func:`score_sum_law`'s signature."""
+    return full_grid_score_sum_law(entries, a, b, n)[0]
+
+
+def full_grid_scan(monkeypatch):
+    """Make the tensor-gap search convolve and scan the full grid of its
+    integer scores, less their smallest, as it did before its sides were
+    reduced to steps."""
+    monkeypatch.setattr(sharpness_search, "_steps", lambda ints, kept: (int(ints.min()), 1, ints - ints.min()))
+    monkeypatch.setattr(sharpness_search, "score_sum_law", full_grid_step_law)
 
 
 def even_scored_3x3():
@@ -534,7 +618,8 @@ def three_by_four_scored():
 
 
 class TestScoreSumSublattice:
-    """The sublattice convolution against the full-grid oracle, bit for bit."""
+    """The step-grid convolution, scattered back onto the full grid of the
+    integer scores, against the full-grid oracle, bit for bit."""
 
     def test_seeded_sweep_is_bit_identical(self):
         rng = np.random.default_rng(20)
@@ -548,9 +633,9 @@ class TestScoreSumSublattice:
             a = rng.integers(-3, 4, size=n_rows) * int(rng.choice([1, 2, 3, 5, 6]))
             b = rng.integers(-3, 4, size=n_cols) * int(rng.choice([1, 2, 5]))
             n = int(rng.integers(1, 7))
-            gcds.add(lattice_gcd(entries, a, 1))
-            gcds.add(lattice_gcd(entries, b, 0))
-            assert same_law(score_sum_law(entries, a, b, n), full_grid_score_sum_law(entries, a, b, n))
+            gcds.add(sublattice_steps(entries, a, 1)[1])
+            gcds.add(sublattice_steps(entries, b, 0)[1])
+            assert same_law(scattered_law(entries, a, b, n), full_grid_score_sum_law(entries, a, b, n))
         assert {1, 2, 5} <= gcds
 
     @pytest.mark.parametrize(
@@ -570,7 +655,7 @@ class TestScoreSumSublattice:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_zero_mass_atoms_keep_the_full_grid(self, entries, a, b, n):
         entries, a, b = np.array(entries), np.array(a), np.array(b)
-        assert same_law(score_sum_law(entries, a, b, n), full_grid_score_sum_law(entries, a, b, n))
+        assert same_law(scattered_law(entries, a, b, n), full_grid_score_sum_law(entries, a, b, n))
 
     @pytest.mark.parametrize(
         "sb, n",
@@ -580,15 +665,38 @@ class TestScoreSumSublattice:
     def test_theorem6_value_unchanged(self, monkeypatch, sb, n):
         # neither side has two score levels, so the joint law is used
         got = theorem6_corr(sb, n, method="exact").value
-        monkeypatch.setattr(constructions, "score_sum_law", full_grid_score_sum_law)
+        monkeypatch.setattr(constructions, "score_sum_law", full_grid_step_law)
         assert got == theorem6_corr(sb, n, method="exact").value
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_tensor_gap_unchanged(self, monkeypatch, seed):
-        m = random_joint(3, 3, seed=seed)
+    @pytest.mark.parametrize("rows, cols, seed", [(3, 3, 1), (3, 3, 2), (3, 3, 3), (2, 5, 1)])
+    def test_tensor_gap_unchanged(self, monkeypatch, rows, cols, seed):
+        m = random_joint(rows, cols, seed=seed)
         got = tensor_gap_lower_bound(m, n_max=3)
-        monkeypatch.setattr(sharpness_search, "score_sum_law", full_grid_score_sum_law)
-        assert got == tensor_gap_lower_bound(m, n_max=3)
+        full_grid_scan(monkeypatch)
+        assert got == pytest.approx(tensor_gap_lower_bound(m, n_max=3), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rows, cols, seed", [(3, 3, 1), (3, 3, 2), (2, 3, 1), (2, 5, 1), (2, 6, 4)])
+    def test_threshold_family_on_the_step_grid(self, monkeypatch, rows, cols, seed, n):
+        # the scan on each side's steps finds the full grid's best threshold
+        # pair; its block sums, without the zero cells between steps, move
+        # in the last bits only
+        entries = random_joint(rows, cols, seed=seed).entries
+        heights = []
+
+        def spy(entries, a, b, n):
+            law = score_sum_law(entries, a, b, n)
+            heights.append(law.shape[0])
+            return law
+
+        monkeypatch.setattr(sharpness_search, "score_sum_law", spy)
+        got = sharpness_search._threshold_family_bound(entries, n)
+        if rows == 2:
+            assert heights == [n + 1]  # a two-valued side has n + 1 step sums
+        full_grid_scan(monkeypatch)
+        want = sharpness_search._threshold_family_bound(entries, n)
+        assert want > 0.05
+        assert abs(got - want) <= 1e-13 * want
 
 
 # Masses (1/4, 3/4) center the row scores (-1, 1) to (-3, 1) / 2, and
@@ -636,18 +744,21 @@ class TestTwoLevelPath:
         sb = pm_one_base(0.4)
         monkeypatch.setattr(constructions, "score_sum_law", law_unused)
         got = theorem6_corr(sb, 128, method="exact").value
-        a, b = constructions._integer_scores(sb, 128)
-        qa, qb, q11 = full_grid_probs(sb.base.entries, a, b, 128)
+        steps, first = constructions._lattice(sb.g, sb.base.entries.sum(axis=1), 128)
+        assert steps.tolist() == [0, 1] and first == 65
+        qa, qb, q11 = full_grid_probs(sb.base.entries, np.array([-1, 1]), np.array([-1, 1]), 128)
         want = constructions._indicator_corr(q11, qa, qb)
         assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_off_lattice_zero_row(self, monkeypatch, n):
-        # the positive-mass rows score -10 and 10 at scale 10, the empty row
-        # 3; masses (0.4, 0.6) center the column scores (-1, 1) to (-3, 2) / 2.5
+        # the positive-mass rows score -1 and 1, the empty row 0.3, off
+        # their lattice; masses (0.4, 0.6) center the column scores (-1, 1)
+        # to (-3, 2) / 2.5
         m = np.array([[0.3, 0.2], [0.0, 0.0], [0.1, 0.4]])
         sb = make_scored_base(from_matrix(m), [-1.0, 0.3, 1.0], [-1.0, 1.0])
-        assert constructions._integer_scores(sb, n)[0].tolist() == [-10, 3, 10]
+        steps, first = constructions._lattice(sb.g, m.sum(axis=1), n)
+        assert steps.tolist() == [0, 0, 1] and first == n // 2 + 1
         monkeypatch.setattr(constructions, "score_sum_law", law_unused)
         got = theorem6_corr(sb, n, method="exact").value
         want = sum_indicator_corr_rational(m, [-1, Fraction(3, 10), 1], [-3, 2], n)
@@ -664,20 +775,21 @@ class TestTwoLevelPath:
                 continue
             entries /= entries.sum()
             n = int(rng.integers(1, 13))
-            got = constructions._two_level_probs(entries, a, b, n)
+            lat_a, lat_b = int_lattice(entries, a, 1, n), int_lattice(entries, b, 0, n)
+            got = constructions._two_level_probs(entries, lat_a, lat_b, n)
             want = full_grid_probs(entries, a, b, n)
             assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_auto_picks_the_method_it_did_on_both_sides_of_the_cap(self):
-        # at n = 1580 the full grid has 3161^2 <= STATE_CAP cells: exact, and
+        # at n = 3161 the step grid has 3162^2 <= STATE_CAP cells: exact, and
         # the conditional walks would underflow to nan without their scaling
         sb = pm_one_base(0.5)
-        est = theorem6_corr(sb, 1580, method="auto", samples=MC_MIN_SAMPLES, seed=1)
+        est = theorem6_corr(sb, 3161, method="auto", samples=MC_MIN_SAMPLES, seed=1)
         assert est.method == "exact"
         assert abs(est.value - clt_limit_corr(0.5)) <= 1e-3
         with pytest.raises(StateSpaceTooLarge, match="lattice grid 3163x3163"):
-            theorem6_corr(sb, 1581, method="exact")
-        est = theorem6_corr(sb, 1581, method="auto", samples=MC_MIN_SAMPLES, seed=1)
+            theorem6_corr(sb, 3162, method="exact")
+        est = theorem6_corr(sb, 3162, method="auto", samples=MC_MIN_SAMPLES, seed=1)
         assert est.method == "monte_carlo"
 
 
