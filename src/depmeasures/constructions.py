@@ -14,13 +14,12 @@ Contents:
   * exact and Monte Carlo evaluation of Corr(1[Y_n > 0], 1[Z_n > 0]) where
     Y_n, Z_n are normalized sums of n i.i.d. copies of scored atoms, and a
     scanner for the smallest n at which that correlation exceeds a target
-    level.  Each side whose positive-mass scores lie on a lattice is
-    written once as integer steps, and a sum is positive exactly when its
-    step sum reaches a threshold, so a sum of exactly 0 counts as not
-    positive.  The exact lattice path conditions on the level count of a
-    side with two score levels, in O(n^2) cells; otherwise it uses
-    :func:`score_sum_law`, the n-fold joint law of step sums, which the
-    tensor-gap search also uses;
+    level.  Exact mode writes each side once as integer steps, by its
+    lattice or by its type (the count of draws at each score), and decides
+    the sign of every step sum exactly, so a sum of exactly 0 counts as not
+    positive.  It conditions on the level count of a side with two score
+    levels, in O(n^2) cells; otherwise it uses :func:`score_sum_law`, the
+    n-fold joint law of step sums, which the tensor-gap search also uses;
   * a grid profile of f(t) = t(1 - log t) - sin(pi t / 2), which is
     positive on (0, 1) with f(1) = f'(1) = 0 and a single inflection of
     f'' in the interior.
@@ -33,7 +32,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -179,12 +178,8 @@ def make_scored_base(
     real numbers (else OutOfRange), one per atom of their side (else
     ShapeError).
     """
-    g_arr, _ = _scores(g_raw, base.n_rows, "row")
-    h_arr, _ = _scores(h_raw, base.n_cols, "column")
-    r_m = base.entries.sum(axis=1)
-    c_m = base.entries.sum(axis=0)
-    g = _normalize_scores(g_arr, r_m, "g")
-    h = _normalize_scores(h_arr, c_m, "h")
+    g = _normalize_scores(_scores(g_raw, base.n_rows, "row"), base.entries.sum(axis=1), "g")
+    h = _normalize_scores(_scores(h_raw, base.n_cols, "column"), base.entries.sum(axis=0), "h")
     r = float(g @ base.entries @ h)
     if not -1.0 - 1e-9 <= r <= 1.0 + 1e-9:
         raise InvariantViolation(f"score correlation {r!r} outside [-1, 1]")
@@ -192,18 +187,23 @@ def make_scored_base(
 
 
 def _normalize_scores(raw: np.ndarray, weights: np.ndarray, name: str) -> np.ndarray:
-    """Center and scale finite scores; a variance past the float range raises
-    OutOfRange, and ``peak * peak``, unlike ``peak ** 2``, rounds to inf."""
-    mean = float(weights @ raw)
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Center and scale finite scores by their positive-mass atoms only; a
+    variance or a scaled score past the float range raises OutOfRange, and
+    ``peak * peak``, unlike ``peak ** 2``, rounds to inf."""
+    kept = weights > 0.0
+    mean = float(weights @ np.where(kept, raw, 0.0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         centered = raw - mean
-        var = float(weights @ centered**2)
+        var = float(weights @ np.where(kept, centered, 0.0) ** 2)
+        scaled = centered / math.sqrt(var)
     if not math.isfinite(var):
         raise OutOfRange(f"{name} variance overflows a float")
-    peak = max(1.0, float(np.abs(raw).max()))
+    peak = max(1.0, float(np.abs(raw[kept]).max()))
     if var <= 1e-20 * peak * peak:
         raise ZeroVariance(f"{name} has zero variance under its marginal")
-    return centered / math.sqrt(var)
+    if not np.isfinite(scaled).all():
+        raise OutOfRange(f"{name} of a zero-mass atom overflows a float once scaled")
+    return scaled
 
 
 def scored_base_from_jsonable(obj: dict) -> ScoredBase:
@@ -289,6 +289,50 @@ def _sum_test(scores: np.ndarray, lattice: Lattice | None) -> tuple[np.ndarray, 
     return steps, first - 1
 
 
+def _side(scores: np.ndarray, masses: np.ndarray, n: int) -> tuple[int, Callable[[], tuple]]:
+    """(width, read): one side as integer steps, by its lattice or by its type.
+
+    ``read()`` gives (steps, pick): a sum of n draws is positive exactly when
+    its step sum is in ``pick``, a slice when those sums are a suffix, else a
+    boolean mask.  ``width``, n * largest step + 1, is a Python int, checked
+    before ``read`` builds anything.  The lattice (:func:`_lattice`) is kept
+    when it is no wider than the type grid of the d distinct values of
+    :func:`_sum_test`, n * (n + 1)^(d - 2) + 1 step sums (:func:`_type_side`).
+    """
+    kept = masses > 0.0
+    lattice = _lattice(scores, masses, n)
+    values, bar = _sum_test(scores, lattice)
+    levels = sorted(set(values[kept].tolist()))  # np.unique would import numpy.ma
+    width = n * (n + 1) ** (len(levels) - 2) + 1
+    if lattice is not None and (size := n * int(values.max()) + 1) <= width:
+        return size, lambda: (values, slice(lattice[1], None))
+    return width, lambda: _type_side(values, kept, n, levels, bar)
+
+
+def _type_side(values: np.ndarray, kept: np.ndarray, n: int, levels: list, bar: int) -> tuple:
+    """A side read by its type, how many of the n draws sit at each level.
+
+    ``levels``, the distinct positive-mass ``values`` least first, get steps
+    0, 1, n + 1, (n + 1)^2, ..., and zero-mass atoms step 0: the base-(n + 1)
+    digits of a step sum count the draws at each level but the least, and
+    sums whose digits add past n name no type.  Each type's sign is decided
+    once, exactly, by its levels summing above ``bar`` (:func:`_sum_test`):
+    integer steps on a side with a lattice, so its ties hold, else Fractions.
+    """
+    exact = [Fraction(x) for x in levels]
+    weights = [(n + 1) ** k for k in range(len(levels) - 1)]
+    sums = np.arange(n * weights[-1] + 1)
+    typed = sums[sum(sums // w % (n + 1) for w in weights) <= n]
+    counts = ((typed // w % (n + 1)).astype(object) for w in weights)
+    total = n * exact[0] + sum(c * (x - exact[0]) for c, x in zip(counts, exact[1:]))
+    positive = np.zeros(sums.size, dtype=bool)
+    positive[typed[total > bar]] = True
+    steps = np.zeros(values.size, dtype=np.int64)
+    steps[kept] = np.array([0] + weights)[np.searchsorted(levels, values[kept])]
+    first = int(positive.argmax())
+    return steps, slice(first, None) if positive[first:].all() else positive
+
+
 def _check_step_grid(size_a: int, size_b: int) -> None:
     """More than ``STATE_CAP`` cells of step sums raise StateSpaceTooLarge,
     before anything is allocated."""
@@ -336,47 +380,30 @@ def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> 
 
 
 def _exact_corr(sb: ScoredBase, n: int) -> float:
-    """Exact indicator correlation, every tie decided in integers where it can be.
+    """Exact indicator correlation: every side in integer steps, every sign exact.
 
-    Every exact path reads the masses here, divided by their ``fsum`` when
-    that is not exactly 1, so a total off 1 does not drift the value by n
-    times its error.  When a side has no lattice, or the step grid passes
-    the state cap, every atom sequence is enumerated instead.
+    The masses are divided by their ``fsum`` when that is not exactly 1, so
+    a total off 1 does not drift the value by n times its error.  A side of
+    two levels (largest step 1; its pick is always a slice) takes
+    :func:`_two_level_probs` when the other side's pick is a slice too;
+    else :func:`score_sum_law` is read through both picks (:func:`_side`).
     """
     entries = sb.base.entries
     total = math.fsum(entries.ravel())
     if total != 1.0:
         entries = entries / total
-    lat_a = _lattice(sb.g, entries.sum(axis=1), n)
-    lat_b = _lattice(sb.h, entries.sum(axis=0), n)
-    if lat_a is not None and lat_b is not None:
-        try:
-            return _exact_corr_lattice(entries, n, lat_a, lat_b)
-        except StateSpaceTooLarge:
-            if _sequences_exceed_cap(entries, n):
-                raise
-    return _exact_corr_enumerate(entries, n, _sum_test(sb.g, lat_a), _sum_test(sb.h, lat_b))
-
-
-def _exact_corr_lattice(entries: np.ndarray, n: int, lat_a: Lattice, lat_b: Lattice) -> float:
-    """Indicator correlation from the step sums of n copies.
-
-    The step grid, (n * max step + 1) cells a side, is the largest array
-    either path allocates, and past the state cap raises first.  A side of
-    two score levels (largest step 1) takes :func:`_two_level_probs`, in
-    O(n^2) cells, rows first; else :func:`score_sum_law`, O(n^3) cells.
-    """
-    (a, first_a), (b, first_b) = lat_a, lat_b
-    _check_step_grid(n * int(a.max()) + 1, n * int(b.max()) + 1)
-    if a.max() == 1:
-        qa, qb, q11 = _two_level_probs(entries, lat_a, lat_b, n)
-    elif b.max() == 1:
-        qb, qa, q11 = _two_level_probs(entries.T, lat_b, lat_a, n)
+    sides = [_side(sb.g, entries.sum(axis=1), n), _side(sb.h, entries.sum(axis=0), n)]
+    _check_step_grid(*(width for width, _ in sides))
+    (a, pick_a), (b, pick_b) = (read() for _, read in sides)
+    if a.max() == 1 and isinstance(pick_b, slice):
+        qa, qb, q11 = _two_level_probs(entries, (a, pick_a.start), (b, pick_b.start), n)
+    elif b.max() == 1 and isinstance(pick_a, slice):
+        qb, qa, q11 = _two_level_probs(entries.T, (b, pick_b.start), (a, pick_a.start), n)
     else:
         law = score_sum_law(entries, a, b, n)
-        qa = float(law[first_a:].sum())
-        qb = float(law[:, first_b:].sum())
-        q11 = float(law[first_a:, first_b:].sum())
+        qa = float(law[pick_a].sum())
+        qb = float(law[:, pick_b].sum())
+        q11 = float(law[pick_a][:, pick_b].sum())
     return _indicator_corr(q11, qa, qb)
 
 
@@ -431,36 +458,6 @@ def _walk(shifts: list[tuple[int, float]], n: int, scaled: bool = False) -> Iter
         if scaled:
             np.ldexp(row, -math.frexp(float(row.sum()))[1], out=row)
         yield row
-
-
-def _sequences_exceed_cap(entries: np.ndarray, n: int) -> bool:
-    # at least 2 cells carry mass, so past n = 64 the count exceeds any cap
-    return int(np.count_nonzero(entries > 0.0)) ** min(n, 64) > STATE_CAP
-
-
-def _exact_corr_enumerate(
-    entries: np.ndarray, n: int, test_a: tuple[np.ndarray, int], test_b: tuple[np.ndarray, int]
-) -> float:
-    """Vectorized enumeration of all (I*J)^n atom sequences; a side's sum is
-    positive when its values sum above its bar (see :func:`_sum_test`)."""
-    rows, cols = np.nonzero(entries > 0.0)
-    if _sequences_exceed_cap(entries, n):
-        raise StateSpaceTooLarge(f"{rows.size}^{n} sequences exceed the {STATE_CAP} cap")
-    (g, bar_a), (h, bar_b) = test_a, test_b
-    gstep, hstep, pstep = g[rows], h[cols], entries[rows, cols]
-    sums_g = np.zeros(1, dtype=gstep.dtype)
-    sums_h = np.zeros(1, dtype=hstep.dtype)
-    probs = np.ones(1)
-    for _ in range(n):
-        sums_g = (sums_g[:, None] + gstep[None, :]).ravel()
-        sums_h = (sums_h[:, None] + hstep[None, :]).ravel()
-        probs = (probs[:, None] * pstep[None, :]).ravel()
-    mask_a = sums_g > bar_a
-    mask_b = sums_h > bar_b
-    qa = float(probs[mask_a].sum())
-    qb = float(probs[mask_b].sum())
-    q11 = float(probs[mask_a & mask_b].sum())
-    return _indicator_corr(q11, qa, qb)
 
 
 def _mc_corr(sb: ScoredBase, n: int, samples: int, seed: int) -> tuple[float, float]:
@@ -564,18 +561,19 @@ def theorem6_corr(
 ) -> CltEstimate:
     """Corr(1[Y_n > 0], 1[Z_n > 0]) for Y_n, Z_n sums of n scored copies.
 
-    A tie (a sum of exactly 0) counts as not positive, and it is decided
-    in integer steps on every side with a lattice (:func:`_lattice`).
-    Exact mode divides the masses by their total and works on the steps
-    when both sides have them and the step grid, (n * largest step + 1)
-    cells a side, fits the state cap: in O(n^2) cells when a side has two
-    score levels, by the joint law of :func:`score_sum_law` in O(n^3)
-    otherwise.  Else it enumerates every atom sequence under the cap,
-    summing floats only on a side without a lattice.  Monte Carlo projects
-    its draws onto the same steps; it needs ``samples`` >= 1000 and a
-    seed, and its standard error comes from the delta method.
-    ``auto`` prefers exact and falls back to Monte Carlo.  ``n`` and
-    ``samples`` follow the integer rule of :func:`_check_integer`.
+    A tie (a sum of exactly 0) counts as not positive.  Exact mode divides
+    the masses by their total and reads every side as integer steps, by
+    its lattice or by its type (:func:`_side`), each sign decided exactly:
+    it sums no floats, and off a lattice it is exact on the normalized
+    float scores.  The step grid must fit the state cap: a side of two
+    score levels takes O(n^2) cells, else :func:`score_sum_law` is read.  Many
+    distinct scores off a lattice pass the cap even at small n (a 10x10
+    rho witness at n = 2), so there ``auto`` needs Monte Carlo settings.
+    Monte Carlo projects its draws onto the lattice steps of every side
+    that has them; it needs ``samples`` >= 1000 and a seed, and its
+    standard error comes from the delta method.  ``auto`` prefers exact
+    and falls back to Monte Carlo.  ``n`` and ``samples`` follow the
+    integer rule of :func:`_check_integer`.
     """
     n = _check_integer("n", n, 1)
     samples = _check_integer("samples", samples)

@@ -779,9 +779,9 @@ def _centered_top_pair(
     return u, v / np.linalg.norm(v)
 
 
-def _scores(x, n: int, side: str) -> tuple[np.ndarray, float]:
-    """Scores over n atoms as float64, and their largest magnitude: OutOfRange
-    unless they are finite real numbers, ShapeError unless there are n."""
+def _scores(x, n: int, side: str) -> np.ndarray:
+    """Scores over n atoms as float64: OutOfRange unless they are finite
+    real numbers, ShapeError unless there are n."""
     try:
         arr = real_array(x)
     except (TypeError, ValueError) as exc:
@@ -790,10 +790,9 @@ def _scores(x, n: int, side: str) -> tuple[np.ndarray, float]:
         raise ShapeError(f"{side} scores have shape {arr.shape}, M has {n} {side} atoms")
     if holds_bool_or_text(x):
         raise OutOfRange(f"{side} scores must be real numbers, not booleans or strings")
-    scale = float(np.abs(arr).max(initial=0.0))
-    if not math.isfinite(scale):
+    if not np.isfinite(arr).all():
         raise OutOfRange(f"{side} scores must be finite")
-    return arr, scale
+    return arr
 
 
 def _constant_on_mass(x: np.ndarray, weights: np.ndarray) -> bool:
@@ -808,14 +807,16 @@ def score_correlation(M: JointPMF, f: np.ndarray, g: np.ndarray) -> float:
     ShapeError).  Scores constant on the positive-mass atoms of a side give
     exactly 0, whatever rounding leaves in their variance."""
     # Correlation is scale-invariant: max-abs scaling keeps squared scores
-    # finite, and the staged division keeps vf * vg from underflowing.
-    f, f_scale = _scores(f, M.n_rows, "row")
-    g, g_scale = _scores(g, M.n_cols, "column")
+    # finite, and the staged division keeps vf * vg from underflowing.  A
+    # zero-mass atom's score is read as 0, so it cannot set the scale.
+    r = M.entries.sum(axis=1)
+    c = M.entries.sum(axis=0)
+    f = np.where(r > 0.0, _scores(f, M.n_rows, "row"), 0.0)
+    g = np.where(c > 0.0, _scores(g, M.n_cols, "column"), 0.0)
+    f_scale, g_scale = float(np.abs(f).max()), float(np.abs(g).max())
     if f_scale <= 0.0 or g_scale <= 0.0:
         return 0.0
     f, g = f / f_scale, g / g_scale
-    r = M.entries.sum(axis=1)
-    c = M.entries.sum(axis=0)
     ef = float(r @ f)
     eg = float(c @ g)
     vf = float(r @ (f - ef) ** 2)

@@ -11,8 +11,8 @@ Two objectives:
     within the exact caps (bases up to 3x3) and otherwise a certified lower
     bound from embedded single-copy events, threshold events of summed
     atom scores (their law from the lattice convolution
-    ``constructions.score_sum_law``, which theorem6 also uses when each
-    side of its base has three or more score levels), and the
+    ``constructions.score_sum_law``, which theorem6 also uses where its
+    two-level walk does not apply), and the
     alternating heuristic on the join.  Threshold events of higher join
     powers (``n_max >= 3``) raise it further.  The gap can never exceed
     psi(M) - tau(M).

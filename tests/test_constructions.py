@@ -228,6 +228,23 @@ class TestScoredBase:
         with pytest.raises(ZeroVariance):
             make_scored_base(yy_pair(0.5), [1e200, 1e200], [-1.0, 1.0])
 
+    @pytest.mark.parametrize("big", [1e11, 1e100, 1e160, 1e200, -1e308])
+    def test_zero_mass_atom_does_not_decide_the_normalization(self, big):
+        # the empty row's score once raised ZeroVariance (1e11, 1e100) or
+        # OutOfRange (1e160 and up): 0 * inf in its variance term gave nan
+        m = from_matrix([[0.3, 0.2], [0.1, 0.4], [0.0, 0.0]])
+        want = make_scored_base(m, [-1, 1, 0], [-1, 1])
+        got = make_scored_base(m, [-1, 1, big], [-1, 1])
+        assert np.array_equal(got.g[:2], want.g[:2]) and np.array_equal(got.h, want.h) and got.r == want.r
+        assert theorem6_corr(got, 5, method="exact") == theorem6_corr(want, 5, method="exact")
+        assert make_scored_base(from_matrix(m.entries.T), [-1, 1], [-1, 1, big]).r == got.r
+
+    def test_zero_mass_score_overflowing_once_scaled_rejected(self):
+        # scores +-0.01 have standard deviation 0.01, so 1e308 scales past the float range
+        m = from_matrix([[0.3, 0.2], [0.2, 0.3], [0.0, 0.0]])
+        with pytest.raises(OutOfRange, match="g of a zero-mass atom overflows"):
+            make_scored_base(m, [-0.01, 0.01, 1e308], [-1, 1])
+
     def test_scalar_scores_rejected(self):
         with pytest.raises(ShapeError, match=r"row scores have shape \(\)"):
             make_scored_base(yy_pair(0.5), 1.0, [-1.0, 1.0])
@@ -281,7 +298,7 @@ class TestTheorem6Corr:
         with pytest.raises(StateSpaceTooLarge, match="exceeds"):
             score_sum_law(yy_pair(0.5).entries, np.array([0, 1]), np.array([0, 10**12]), 1)
 
-    def test_irrational_scores_fall_back_to_enumeration(self):
+    def test_irrational_scores_read_by_type(self):
         base = random_joint(2, 2, seed=4)
         res = rho(base)
         sb = make_scored_base(base, res.witness[0], res.witness[1])
@@ -418,7 +435,7 @@ class TestExactTies:
         assert abs(est.value - want) <= 4 * est.stderr
 
     def test_one_side_on_its_lattice(self):
-        # the column scores share no lattice: only that side sums floats
+        # the column scores share no lattice: that side is read by its type
         m = np.outer([1 / 3, 2 / 3], [0.25, 0.35, 0.4]) + [[0.02, 0.0, -0.02], [-0.02, 0.0, 0.02]]
         sb = make_scored_base(from_matrix(m), [-1, 1], [0, 1, math.sqrt(2)])
         steps, first = constructions._lattice(sb.g, sb.base.entries.sum(axis=1), 6)
@@ -428,19 +445,22 @@ class TestExactTies:
         want = sum_indicator_corr_rational(sb.base.entries, [-2, 1], sb.h, 6)
         assert theorem6_corr(sb, 6, method="exact").value == pytest.approx(want, abs=1e-12)
 
-    def test_wide_lattice_falls_back_to_enumeration(self):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_wide_lattice_read_by_type(self, n):
         # raw scores (-4999, 1, 5000) under masses (1/4, 1/2, 1/4) center to
-        # (-19999, 1, 19997) / 4: steps (0, 5000, 9999) of 4 units each.  The
-        # n = 3 step grid passes the state cap; the 9^3 sequences do not
+        # (-19999, 1, 19997) / 4: steps (0, 5000, 9999) of 4 units each.  At
+        # n = 3 their 29998 step sums are wider than the 13 of the type grid.
+        # At n = 4 the type (1 low, 2 mid, 1 high) ties at 0, and its sign is
+        # decided on the lattice steps, not on the rounded float scores
         marg = np.array([0.25, 0.5, 0.25])
         corner = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
         sb = make_scored_base(from_matrix(np.outer(marg, marg) + corner / 64), [-4999, 1, 5000], [-4999, 1, 5000])
-        lat = constructions._lattice(sb.g, marg, 3)
-        assert lat[0].tolist() == [0, 5000, 9999] and lat[1] == 15000
-        with pytest.raises(StateSpaceTooLarge, match="lattice grid 29998x29998"):
-            constructions._exact_corr_lattice(sb.base.entries, 3, lat, lat)
-        want = sum_indicator_corr_rational(sb.base.entries, [-19999, 1, 19997], [-19999, 1, 19997], 3)
-        assert theorem6_corr(sb, 3, method="exact").value == pytest.approx(want, abs=1e-12)
+        lat = constructions._lattice(sb.g, marg, n)
+        assert lat[0].tolist() == [0, 5000, 9999] and lat[1] == 5000 * n
+        width, read = constructions._side(sb.g, marg, n)
+        assert width == n * (n + 1) + 1 and read()[0].tolist() == [0, 1, n + 1]
+        want = sum_indicator_corr_rational(sb.base.entries, [-19999, 1, 19997], [-19999, 1, 19997], n)
+        assert theorem6_corr(sb, n, method="exact").value == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_zero_mass_atom_does_not_decide_the_lattice(self, n):
@@ -452,6 +472,69 @@ class TestExactTies:
         assert steps.tolist() == [0, 1, 0]
         want = sum_indicator_corr_rational(sb.base.entries, [-2, 1, 0], [-1, 1], n)
         assert abs(theorem6_corr(sb, n, method="exact").value - want) <= 1e-14 * abs(want)
+
+
+def float_scores(scores):
+    """The normalized float scores as exact Fractions, for the rational oracle."""
+    return [Fraction(float(x)) for x in scores]
+
+
+class TestTypeReading:
+    """A side off its lattice, or on one wider than its type grid, is read by
+    its type: how many draws sit at each distinct positive-mass score, each
+    type's sign decided exactly, on the lattice steps where the side has a
+    lattice, else on the scores' exact binary values."""
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_random_2x2_matches_rational_oracle(self, n):
+        sb = make_scored_base(random_joint(2, 2, seed=0), [-1, 1], [-1, 1])
+        assert constructions._lattice(sb.g, sb.base.entries.sum(axis=1), n) is None
+        want = sum_indicator_corr_rational(sb.base.entries, float_scores(sb.g), float_scores(sb.h), n)
+        assert abs(theorem6_corr(sb, n, method="exact").value - want) <= 1e-12
+
+    def test_random_2x2_reaches_the_state_cap(self):
+        # two types a side: n + 1 step sums, and the two-level path
+        sb = make_scored_base(random_joint(2, 2, seed=0), [-1, 1], [-1, 1])
+        est = theorem6_corr(sb, 3161, method="exact")
+        assert abs(est.value - clt_limit_corr(sb.r)) <= 1e-4
+        with pytest.raises(StateSpaceTooLarge, match="lattice grid 3163x3163"):
+            theorem6_corr(sb, 3162, method="exact")
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_random_3x3_matches_rational_oracle(self, n):
+        sb = make_scored_base(random_joint(3, 3, seed=0), [-1, 0, 1], [-1, 0, 1])
+        want = sum_indicator_corr_rational(sb.base.entries, float_scores(sb.g), float_scores(sb.h), n)
+        assert abs(theorem6_corr(sb, n, method="exact").value - want) <= 1e-12
+
+    def test_many_scores_at_small_n_run_monte_carlo(self):
+        # 14 scores a side: a type grid of 2^12 + 1 cells at n = 1
+        base = random_joint(14, 14, seed=1)
+        sb = make_scored_base(base, *rho(base).witness)
+        with pytest.raises(StateSpaceTooLarge, match="lattice grid 4097x4097"):
+            theorem6_corr(sb, 1, method="exact")
+        assert theorem6_corr(sb, 1, samples=MC_MIN_SAMPLES, seed=1).method == "monte_carlo"
+
+    def test_grid_checked_before_allocating(self):
+        # three scores off any lattice at n = 10^6: about 10^12 type cells a side
+        sb = make_scored_base(random_joint(3, 3, seed=0), [-1, 0, math.sqrt(2)], [-1, 0, math.sqrt(3)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceTooLarge, match="lattice grid 1000001000001x1000001000001"):
+                theorem6_corr(sb, 10**6, method="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("n", [5, 40])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_split_atom_keeps_the_value(self, seed, n):
+        # row 0 split into copies of 0.3 and 0.7 of its mass, both scored -1
+        m = random_joint(2, 2, seed=seed).entries
+        split = from_matrix(np.vstack([0.3 * m[0], 0.7 * m[0], m[1]]))
+        want = theorem6_corr(make_scored_base(from_matrix(m), [-1, 1], [-1, 1]), n, method="exact").value
+        got = theorem6_corr(make_scored_base(split, [-1, -1, 1], [-1, 1]), n, method="exact").value
+        assert abs(got - want) <= 1e-13
 
 
 MC_BASES = {

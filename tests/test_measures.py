@@ -466,6 +466,14 @@ class TestFullReport:
             f = np.array([1.0, -1.0]) * scale
             assert score_correlation(m, f, np.array([2.0, -2.0])) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("big", [1e11, 1e100, 1e160, 1e200, 1e308, -1e308])
+    def test_score_correlation_ignores_a_zero_mass_atom(self, big):
+        # the empty row's score once set the scale: 0.40825056 at 1e160, 0.0 at 1e200
+        m = from_matrix([[0.3, 0.2], [0.1, 0.4], [0.0, 0.0]])
+        assert score_correlation(m, [-1.0, 1.0, big], [-1.0, 1.0]) == score_correlation(m, [-1.0, 1.0, 0.0], [-1.0, 1.0])
+        mt = from_matrix(m.entries.T)
+        assert score_correlation(mt, [-1.0, 1.0], [-1.0, 1.0, big]) == score_correlation(mt, [-1.0, 1.0], [-1.0, 1.0, 0.0])
+
     @pytest.mark.parametrize("bad", [[np.nan, 1, 2], [np.inf, 1, 2], [-np.inf, 1, 2],
                                      ["a", 1, 2], ["1", 2, 3], [True, False, True],
                                      np.array([1j, 1, 2]), [np.complex128(1), 2, 3]])
