@@ -20,6 +20,7 @@ Contents:
     positive.  It conditions on the level count of a side with two score
     levels, in O(n^2) cells; otherwise it uses :func:`score_sum_law`, the
     n-fold joint law of step sums, which the tensor-gap search also uses;
+    :func:`_walk` adds every draw to every one of these laws;
   * a grid profile of f(t) = t(1 - log t) - sin(pi t / 2), which is
     positive on (0, 1) with f(1) = f'(1) = 0 and a single inflection of
     f'' in the interior.
@@ -289,8 +290,8 @@ def _sum_test(scores: np.ndarray, lattice: Lattice | None) -> tuple[np.ndarray, 
     return steps, first - 1
 
 
-def _side(scores: np.ndarray, masses: np.ndarray, n: int) -> tuple[int, Callable[[], tuple]]:
-    """(width, read): one side as integer steps, by its lattice or by its type.
+def _side(scores: np.ndarray, masses: np.ndarray, n: int) -> tuple[str, int, Callable[[], tuple]]:
+    """(kind, width, read): one side as integer steps, "lattice" or "type".
 
     ``read()`` gives (steps, pick): a sum of n draws is positive exactly when
     its step sum is in ``pick``, a slice when those sums are a suffix, else a
@@ -305,8 +306,8 @@ def _side(scores: np.ndarray, masses: np.ndarray, n: int) -> tuple[int, Callable
     levels = sorted(set(values[kept].tolist()))  # np.unique would import numpy.ma
     width = n * (n + 1) ** (len(levels) - 2) + 1
     if lattice is not None and (size := n * int(values.max()) + 1) <= width:
-        return size, lambda: (values, slice(lattice[1], None))
-    return width, lambda: _type_side(values, kept, n, levels, bar)
+        return "lattice", size, lambda: (values, slice(lattice[1], None))
+    return "type", width, lambda: _type_side(values, kept, n, levels, bar)
 
 
 def _type_side(values: np.ndarray, kept: np.ndarray, n: int, levels: list, bar: int) -> tuple:
@@ -333,28 +334,17 @@ def _type_side(values: np.ndarray, kept: np.ndarray, n: int, levels: list, bar: 
     return steps, slice(first, None) if positive[first:].all() else positive
 
 
-def _check_step_grid(size_a: int, size_b: int) -> None:
+def _check_step_grid(kinds: tuple[str, str], size_a: int, size_b: int) -> None:
     """More than ``STATE_CAP`` cells of step sums raise StateSpaceTooLarge,
-    before anything is allocated."""
+    before anything is allocated, naming how each side was read (``kinds``)."""
     if size_a * size_b > STATE_CAP:
-        raise StateSpaceTooLarge(f"lattice grid {size_a}x{size_b} exceeds {STATE_CAP} states")
+        grid = " x ".join(dict.fromkeys(kinds))
+        raise StateSpaceTooLarge(f"{grid} grid {size_a}x{size_b} exceeds {STATE_CAP} states")
 
 
-def _cells(entries: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[tuple[int, list[tuple[int, float]]]]:
-    """The positive-mass cells, row-major, by atom row: (row step,
-    [(column step, mass), ...])."""
-    return [
-        (int(a[r]), [(int(b[c]), float(entries[r, c])) for c in np.flatnonzero(entries[r] > 0.0)])
-        for r in np.flatnonzero((entries > 0.0).any(axis=1))
-    ]
-
-
-def _convolve(cur: np.ndarray, out: np.ndarray, shifts: list[tuple[int, float]]) -> None:
-    """One more draw along the last axis: add each (step, mass) shift's mass
-    times ``cur``, moved by its step, into ``out``."""
-    width = cur.shape[-1]
-    for s, p in shifts:
-        out[..., s : s + width] += p * cur
+def _cells(entries: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[tuple[tuple[int, int], float]]:
+    """The positive-mass cells, row-major: ((row step, column step), mass)."""
+    return [((int(a[r]), int(b[c])), float(entries[r, c])) for r, c in zip(*np.nonzero(entries > 0.0))]
 
 
 def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -365,18 +355,11 @@ def score_sum_law(entries: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> 
     = i, sum of b = j) on (n * span_a + 1) x (n * span_b + 1) cells, the
     spans being the largest steps of positive-mass cells; past
     ``STATE_CAP`` cells it raises StateSpaceTooLarge before allocating.
+    It is the last law of :func:`_walk` over the positive-mass cells.
     """
     cells = _cells(entries, a, b)
-    span_a = max(i for i, _ in cells)
-    span_b = max(j for _, row in cells for j, _ in row)
-    _check_step_grid(n * span_a + 1, n * span_b + 1)
-    cur = np.ones((1, 1))
-    for _ in range(n):
-        new = np.zeros((cur.shape[0] + span_a, cur.shape[1] + span_b))
-        for i, row in cells:
-            _convolve(cur, new[i : i + cur.shape[0]], row)
-        cur = new
-    return cur
+    _check_step_grid(("lattice", "lattice"), *(n * max(axis) + 1 for axis in zip(*(s for s, _ in cells))))
+    return _last(_walk(cells, n))
 
 
 def _exact_corr(sb: ScoredBase, n: int) -> float:
@@ -392,9 +375,9 @@ def _exact_corr(sb: ScoredBase, n: int) -> float:
     total = math.fsum(entries.ravel())
     if total != 1.0:
         entries = entries / total
-    sides = [_side(sb.g, entries.sum(axis=1), n), _side(sb.h, entries.sum(axis=0), n)]
-    _check_step_grid(*(width for width, _ in sides))
-    (a, pick_a), (b, pick_b) = (read() for _, read in sides)
+    kinds, widths, reads = zip(_side(sb.g, entries.sum(axis=1), n), _side(sb.h, entries.sum(axis=0), n))
+    _check_step_grid(kinds, *widths)
+    (a, pick_a), (b, pick_b) = (read() for read in reads)
     if a.max() == 1 and isinstance(pick_b, slice):
         qa, qb, q11 = _two_level_probs(entries, (a, pick_a.start), (b, pick_b.start), n)
     elif b.max() == 1 and isinstance(pick_a, slice):
@@ -414,24 +397,24 @@ def _two_level_probs(entries: np.ndarray, lat_a: Lattice, lat_b: Lattice, n: int
     K = k, the column sum adds k draws from the upper level's cells and
     n - k from the lower level's.  With B the law of K and T(k) = P(column
     step sum >= first_b | K = k), qa sums B(k) over k >= first_a, qb sums
-    B(k) T(k) over every k, and q11 over the former.  Each walk adds one
-    positive-mass cell at a time; T(k) is divided by the computed totals of
-    its own two walks, so their rounding drift cancels, and those walks are
-    scaled by an exact power of two at each step, so they cannot underflow.
-    Only the upper walk is kept whole, on the step grid; B and the lower
-    walk are read one draw count at a time.
+    B(k) T(k) over every k, and q11 over the former.  :func:`_walk` gives B
+    over the cells' row steps and each level's walk over its column steps;
+    T(k) is divided by the computed totals of its own two walks, so their
+    rounding drift cancels, and those walks are scaled by an exact power of
+    two at each step, so they cannot underflow.  Only the upper walk is
+    kept whole, on the step grid; B and the lower walk are read one draw
+    count at a time.
     """
     (a, first_a), (b, first_b) = lat_a, lat_b
     cells = _cells(entries, a, b)
-    for law_k in _walk([(k, p) for k, row in cells for _, p in row], n):
-        pass
-    lower, upper = ([shift for k, row in cells if k == level for shift in row] for level in (0, 1))
+    law_k = _last(_walk([((i,), p) for (i, _), p in cells], n))
+    lower, upper = ([((j,), p) for (i, j), p in cells if i == level] for level in (0, 1))
     # ups[k]: the upper walk of k draws
-    ups = np.zeros((n + 1, n * max(j for j, _ in upper) + 1))
+    ups = np.zeros((n + 1, n * max(j for (j,), _ in upper) + 1))
     for k, row in enumerate(_walk(upper, n, scaled=True)):
         ups[k, : row.size] = row
     # tail[w]: mass of the m lower draws whose steps sum to >= w, 0 past them
-    tail = np.zeros(n * max(j for j, _ in lower) + 2)
+    tail = np.zeros(n * max(j for (j,), _ in lower) + 2)
     index = np.clip(first_b - np.arange(ups.shape[1]), 0, tail.size - 1)
     cond = np.empty(n + 1)
     for m, row in enumerate(_walk(lower, n, scaled=True)):
@@ -444,20 +427,32 @@ def _two_level_probs(entries: np.ndarray, lat_a: Lattice, lat_b: Lattice, n: int
     return qa, qb, q11
 
 
-def _walk(shifts: list[tuple[int, float]], n: int, scaled: bool = False) -> Iterator[np.ndarray]:
-    """Yield the walk of j draws for j = 0, ..., n: [u] is the mass of the
-    j-draw sequences of the (step, mass) shifts whose steps sum to u.  When
-    ``scaled``, each walk is multiplied by the power of two that puts its
-    total in [1/2, 1); that is exact, and keeps long walks from underflowing."""
-    span = max(s for s, _ in shifts)
-    row = np.ones(1)
-    yield row
-    for j in range(1, n + 1):
-        prev, row = row, np.zeros(j * span + 1)
-        _convolve(prev, row, shifts)
+def _walk(shifts: list[tuple[tuple[int, ...], float]], n: int, scaled: bool = False) -> Iterator[np.ndarray]:
+    """Yield the law of j draws for j = 0, ..., n: [u] is the mass of the j-draw
+    sequences of the (steps, mass) shifts, one step an axis, whose steps sum
+    to u.  Each draw adds every shift, in list order (which fixes the last
+    bits), into a zero array longer by the spans, the largest steps, so a
+    shift by s covers [s, s - span).  When ``scaled``, each law is multiplied by the
+    power of two that puts its total in [1/2, 1); that is exact, and keeps
+    long walks from underflowing."""
+    spans = [max(axis) for axis in zip(*(steps for steps, _ in shifts))]
+    cuts = [(tuple(slice(s, s - span or None) for s, span in zip(steps, spans)), p) for steps, p in shifts]
+    law = np.ones((1,) * len(spans))
+    yield law
+    for _ in range(n):
+        prev, law = law, np.zeros([size + span for size, span in zip(law.shape, spans)])
+        for cut, p in cuts:
+            law[cut] += p * prev
         if scaled:
-            np.ldexp(row, -math.frexp(float(row.sum()))[1], out=row)
-        yield row
+            np.ldexp(law, -math.frexp(float(law.sum()))[1], out=law)
+        yield law
+
+
+def _last(walk: Iterator[np.ndarray]) -> np.ndarray:
+    """The last law of a walk."""
+    for law in walk:
+        pass
+    return law
 
 
 def _mc_corr(sb: ScoredBase, n: int, samples: int, seed: int) -> tuple[float, float]:
@@ -565,8 +560,11 @@ def theorem6_corr(
     the masses by their total and reads every side as integer steps, by
     its lattice or by its type (:func:`_side`), each sign decided exactly:
     it sums no floats, and off a lattice it is exact on the normalized
-    float scores.  The step grid must fit the state cap: a side of two
-    score levels takes O(n^2) cells, else :func:`score_sum_law` is read.  Many
+    float scores.  Scores within 1e-9 of a lattice of denominator at most
+    10^4, after dividing by the least |score|, are snapped to it, and ties
+    are then counted on the snapped steps (:func:`_lattice`).  The step
+    grid must fit the state cap: a side of two score levels takes O(n^2)
+    cells, else :func:`score_sum_law` is read.  Many
     distinct scores off a lattice pass the cap even at small n (a 10x10
     rho witness at n = 2), so there ``auto`` needs Monte Carlo settings.
     Monte Carlo projects its draws onto the lattice steps of every side

@@ -415,6 +415,24 @@ class TestTheorem6Corr:
 THIRDS = [[0.2, 0.1333333333333333], [0.1333333333333333, 0.5333333333333333]]
 
 
+def one_lattice_side_base():
+    """Rows on the lattice (-2, 1); the column scores share no lattice, so
+    that side is read by its type."""
+    m = np.outer([1 / 3, 2 / 3], [0.25, 0.35, 0.4]) + [[0.02, 0.0, -0.02], [-0.02, 0.0, 0.02]]
+    return make_scored_base(from_matrix(m), [-1, 1], [0, 1, math.sqrt(2)])
+
+
+def snap_band_base(d):
+    """Scores (-1, 1) on both sides of a 2x2 base with row masses 0.5 +- d."""
+    return make_scored_base(from_matrix([[0.3 + d, 0.2], [0.25, 0.25 - d]]), [-1, 1], [-1, 1])
+
+
+def centred_signs(masses):
+    """Scores (-1, 1) centred under the float masses, as exact Fractions."""
+    mean = sum(Fraction(float(w)) * x for w, x in zip(masses, (-1, 1)))
+    return [x - mean for x in (-1, 1)]
+
+
 def thirds_base():
     return make_scored_base(from_matrix(THIRDS), [-1, 1], [-1, 1])
 
@@ -434,16 +452,38 @@ class TestExactTies:
         est = theorem6_corr(sb, 3, method="monte_carlo", samples=10**6, seed=1)
         assert abs(est.value - want) <= 4 * est.stderr
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_lattice_snap_band(self, n):
+        # Scores within 1e-9 of a lattice of denominator <= 10^4 (after
+        # dividing by the least |score|) are snapped, and ties count on the
+        # snapped steps.  Row masses 0.5 +- 2^-34 put the rows inside that
+        # band, on (-1, 1), and the columns on (-9, 11); at 1e-7 no lattice
+        # is found and the float scores are read exactly.  The two readings
+        # differ by the tie mass: 0.0659878 against 0.0722724 at n = 2.
+        inside, outside = (snap_band_base(d) for d in (2.0**-34, 1e-7))
+        want = sum_indicator_corr_rational(inside.base.entries, [-1, 1], [-9, 11], n)
+        assert abs(theorem6_corr(inside, n, method="exact").value - want) <= 1e-14
+        e = outside.base.entries
+        want = sum_indicator_corr_rational(e, centred_signs(e.sum(axis=1)), centred_signs(e.sum(axis=0)), n)
+        assert abs(theorem6_corr(outside, n, method="exact").value - want) <= 1e-14
+
     def test_one_side_on_its_lattice(self):
-        # the column scores share no lattice: that side is read by its type
-        m = np.outer([1 / 3, 2 / 3], [0.25, 0.35, 0.4]) + [[0.02, 0.0, -0.02], [-0.02, 0.0, 0.02]]
-        sb = make_scored_base(from_matrix(m), [-1, 1], [0, 1, math.sqrt(2)])
+        sb = one_lattice_side_base()
         steps, first = constructions._lattice(sb.g, sb.base.entries.sum(axis=1), 6)
         # -2k + (6 - k) > 0 needs k >= 5 copies at the upper level
         assert steps.tolist() == [0, 1] and first == 5
         assert constructions._lattice(sb.h, sb.base.entries.sum(axis=0), 6) is None
         want = sum_indicator_corr_rational(sb.base.entries, [-2, 1], sb.h, 6)
         assert theorem6_corr(sb, 6, method="exact").value == pytest.approx(want, abs=1e-12)
+
+    def test_grid_message_names_each_side(self):
+        # 216 lattice step sums by 215 * 216 + 1 type cells: the first n past the cap
+        sb = one_lattice_side_base()
+        masses = sb.base.entries.sum(axis=1), sb.base.entries.sum(axis=0)
+        kinds, widths, _ = zip(*(constructions._side(x, w, 214) for x, w in zip((sb.g, sb.h), masses)))
+        assert kinds == ("lattice", "type") and math.prod(widths) <= STATE_CAP
+        with pytest.raises(StateSpaceTooLarge, match="^lattice x type grid 216x46441 exceeds"):
+            theorem6_corr(sb, 215, method="exact")
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_wide_lattice_read_by_type(self, n):
@@ -457,8 +497,8 @@ class TestExactTies:
         sb = make_scored_base(from_matrix(np.outer(marg, marg) + corner / 64), [-4999, 1, 5000], [-4999, 1, 5000])
         lat = constructions._lattice(sb.g, marg, n)
         assert lat[0].tolist() == [0, 5000, 9999] and lat[1] == 5000 * n
-        width, read = constructions._side(sb.g, marg, n)
-        assert width == n * (n + 1) + 1 and read()[0].tolist() == [0, 1, n + 1]
+        kind, width, read = constructions._side(sb.g, marg, n)
+        assert kind == "type" and width == n * (n + 1) + 1 and read()[0].tolist() == [0, 1, n + 1]
         want = sum_indicator_corr_rational(sb.base.entries, [-19999, 1, 19997], [-19999, 1, 19997], n)
         assert theorem6_corr(sb, n, method="exact").value == pytest.approx(want, abs=1e-12)
 
@@ -497,7 +537,7 @@ class TestTypeReading:
         sb = make_scored_base(random_joint(2, 2, seed=0), [-1, 1], [-1, 1])
         est = theorem6_corr(sb, 3161, method="exact")
         assert abs(est.value - clt_limit_corr(sb.r)) <= 1e-4
-        with pytest.raises(StateSpaceTooLarge, match="lattice grid 3163x3163"):
+        with pytest.raises(StateSpaceTooLarge, match="^type grid 3163x3163 exceeds"):
             theorem6_corr(sb, 3162, method="exact")
 
     @pytest.mark.parametrize("n", [8, 9])
@@ -510,7 +550,7 @@ class TestTypeReading:
         # 14 scores a side: a type grid of 2^12 + 1 cells at n = 1
         base = random_joint(14, 14, seed=1)
         sb = make_scored_base(base, *rho(base).witness)
-        with pytest.raises(StateSpaceTooLarge, match="lattice grid 4097x4097"):
+        with pytest.raises(StateSpaceTooLarge, match="^type grid 4097x4097 exceeds"):
             theorem6_corr(sb, 1, method="exact")
         assert theorem6_corr(sb, 1, samples=MC_MIN_SAMPLES, seed=1).method == "monte_carlo"
 
@@ -519,7 +559,7 @@ class TestTypeReading:
         sb = make_scored_base(random_joint(3, 3, seed=0), [-1, 0, math.sqrt(2)], [-1, 0, math.sqrt(3)])
         tracemalloc.start()
         try:
-            with pytest.raises(StateSpaceTooLarge, match="lattice grid 1000001000001x1000001000001"):
+            with pytest.raises(StateSpaceTooLarge, match="^type grid 1000001000001x1000001000001 exceeds"):
                 theorem6_corr(sb, 10**6, method="exact")
             peak = tracemalloc.get_traced_memory()[1]
         finally:

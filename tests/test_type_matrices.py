@@ -28,10 +28,14 @@ def test_rho_of_the_types_is_rho_of_one_copy(rows, cols, seed, n):
     assert abs(rho(from_matrix(type_matrix(m.entries, n))).value - rho(m).value) <= SPECTRAL_EQ_TOL
 
 
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("rows, cols, seed", [(2, 3, 1), (2, 3, 3), (3, 3, 2)])
+@pytest.mark.parametrize(
+    "rows, cols, seed, n",
+    [(r, c, s, n) for n in (3, 4) for r, c, s in [(2, 3, 1), (2, 3, 3), (3, 3, 2)]]
+    + [(2, c, s, n) for n in (5, 6) for c, s in [(3, 1), (3, 3), (4, 1), (5, 2)]],
+)
 def test_threshold_family_within_tau_of_the_types(rows, cols, seed, n):
-    # threshold events of summed scores see each side only through its type
+    # threshold events of summed scores see each side only through its
+    # type; at n = 6 a 2x5 base has 7x210 types
     entries = random_joint(rows, cols, seed=seed).entries
     assert _threshold_family_bound(entries, n) <= exact_tau(type_matrix(entries, n)) + BOUND_TOL
 
