@@ -34,7 +34,7 @@ from .constructions import (
 )
 from .errors import ConvergenceFailure, DependenceError
 from .joint_pmf import from_jsonable, kron, load_json
-from .measures import full_report
+from .measures import _blas_setting, full_report
 from .sharpness_search import SearchConfig, search_max_rho, search_tensor_gap
 from .theorem_suite import (
     check_chain,
@@ -286,6 +286,7 @@ def _manifest(args: argparse.Namespace, started: str, finished: str) -> dict:
         "parameters": params,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
+        "blas": _blas_setting(),
         "started": started,
         "finished": finished,
     }

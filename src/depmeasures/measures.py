@@ -46,7 +46,10 @@ by ``_stacked_quotes``, are bit for bit :func:`event_statistic`'s.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,6 +77,12 @@ MODES = ("exact", "heuristic", "auto")
 
 EXACT_CAP = 14
 DEFAULT_RHO_TOL = 1e-10
+# An SVD whose larger side is at least this runs on one BLAS thread: below
+# about 512 threads gain no wall time, they leave the pool spinning after
+# the call, and from 256 up they change the factors' bits.
+_ONE_THREAD_SVD_SIDE = 32
+# Held from reading the OpenBLAS pool size until it is restored.
+_POOL_LOCK = threading.Lock()
 # A second left singular vector whose overlap with sqrt(r) exceeds this
 # comes from a repeated top singular value, not from the second pair.
 _TOP_SPACE_TOL = 1e-8
@@ -716,10 +725,45 @@ def _normalized(entries: np.ndarray) -> tuple[np.ndarray, ...]:
     return q, sqrt_r, sqrt_c, rpos, cpos
 
 
+@functools.cache
+def _openblas_pool() -> tuple | None:
+    """(get, set) of the thread-pool size of the OpenBLAS behind numpy's
+    LAPACK calls, or None when numpy's BLAS is not OpenBLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _blas_setting() -> dict:
+    """The OpenBLAS pool size and the thread count of the SVDs that
+    :func:`_svd` limits, both None when numpy's BLAS is not OpenBLAS."""
+    pool = _openblas_pool()
+    return {"pool": pool[0]() if pool else None, "svd_threads": 1 if pool else None}
+
+
 def _svd(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Full SVD of q, or of each matrix of a stack.  From
+    ``_ONE_THREAD_SVD_SIDE`` up it runs on one OpenBLAS thread, and the
+    pool's size is restored afterwards."""
+    pool = _openblas_pool() if max(q.shape[-2:]) >= _ONE_THREAD_SVD_SIDE else None
     try:
-        return np.linalg.svd(q)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        if pool is None:
+            return np.linalg.svd(q)
+        get, put = pool
+        with _POOL_LOCK:
+            threads = get()
+            put(1)
+            try:
+                return np.linalg.svd(q)
+            finally:
+                put(threads)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
 
 

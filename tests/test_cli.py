@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import depmeasures.measures as measures
 from depmeasures import from_matrix, random_joint, save_json
 from depmeasures.cli import _build_parser, run
 
@@ -36,6 +37,20 @@ class TestBasicCommands:
         assert doc["manifest"]["command"] == "orthant"
         assert doc["manifest"]["tool_version"]
         assert doc["result"]["value"] == pytest.approx(1 / 3, abs=0)
+
+    def test_manifest_records_the_blas_setting(self, tmp_path, monkeypatch):
+        f = tmp_path / "m.json"
+        write_matrix(f, random_joint(64, 64, seed=1))
+        limited, plain = tmp_path / "limited.json", tmp_path / "plain.json"
+        assert run(["measures", "--in", str(f), "--out", str(limited)]) == 0
+        pool = measures._openblas_pool()
+        expected = {"pool": pool[0]() if pool else None, "svd_threads": 1 if pool else None}
+        assert read_doc(limited)["manifest"]["blas"] == expected
+        monkeypatch.setattr(measures, "_openblas_pool", lambda: None)
+        assert run(["measures", "--in", str(f), "--out", str(plain)]) == 0
+        assert read_doc(plain)["manifest"]["blas"] == {"pool": None, "svd_threads": None}
+        result = [json.dumps(read_doc(out)["result"], sort_keys=True) for out in (limited, plain)]
+        assert result[0] == result[1]
 
     def test_kron_output_feeds_back(self, tmp_path):
         a = tmp_path / "a.json"

@@ -7,7 +7,9 @@ Extracts the parent commit with ``git archive`` into ``.bench_work/ab-<sha>/``
 ``perfbench/run.py --workload W --seed k --seconds S`` once in each tree:
 the parent first on the first pair, this checkout first on the next, and so
 on, so that drift of the machine falls on both sides alike.  Each run's last
-JSON line gives its metrics.  Prints every pair, then, per end-to-end metric
+JSON line gives its metrics.  Prints each tree's environment line once, and
+stops with an error when a run's BLAS thread count, numpy or BLAS version
+differs from the first run's.  Prints every pair, then, per end-to-end metric
 of ``BENCHMARK.json``, both medians, the pairs this checkout won (strictly
 better in the metric's direction) and the interquartile range of the
 parent's runs.  Changes nothing under ``perfbench/``.
@@ -24,6 +26,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Environment fields that must agree between the two trees' runs.
+SAME_SETUP = ("blas_threads", "numpy", "blas_version")
 
 
 def _extract(rev: str) -> str:
@@ -41,15 +45,16 @@ def _extract(rev: str) -> str:
     return dest
 
 
-def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """{metric: value} of one ``perfbench/run.py`` run in ``tree``."""
+def _run(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The environment and {metric: value} of one ``perfbench/run.py`` run in ``tree``."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+    env = next(json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("environment "))
+    return env, {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
 
 
 def _iqr(values: list) -> float:
@@ -70,13 +75,23 @@ def main(argv: list) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     trees = {"parent": _extract(args.parent), "change": ROOT}
+    envs: dict = {}
     for workload in args.workload:
         runs: dict = {"parent": [], "change": []}
         seeds = range(args.first_seed, args.first_seed + args.pairs)
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_run(trees[side], workload, seed, args.seconds))
+                env, metrics = _run(trees[side], workload, seed, args.seconds)
+                if side not in envs:
+                    envs[side] = env
+                    print(f"{side} environment {json.dumps(env, sort_keys=True)}", flush=True)
+                ref = next(iter(envs.values()))
+                differ = {key: (ref.get(key), env.get(key)) for key in SAME_SETUP if env.get(key) != ref.get(key)}
+                if differ:
+                    raise SystemExit(f"error: the {side} run at seed {seed} has another BLAS setup "
+                                     f"than the first run (first, this): {differ}")
+                runs[side].append(metrics)
             pair = (f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}" for name in better)
             print(f"{workload} seed {seed} ({order[0]} first): " + "  ".join(pair), flush=True)
         print(f"{workload}: {args.pairs} pairs, seeds {seeds[0]}-{seeds[-1]}, {args.seconds:g} s each")
